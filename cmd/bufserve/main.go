@@ -274,7 +274,7 @@ func run(cfg config) error {
 			func() float64 { return float64(ap.Writeback().Fallbacks) })
 		svc.AddGauge("spatialbuf_writeback_queue_capacity", "Write-back queue capacity in pages.",
 			func() float64 { return float64(ap.Writeback().QueueCap) })
-		svc.AddGauge("spatialbuf_writeback_canceled_total", "Queued write-backs canceled because the page was re-admitted before its write ran.",
+		svc.AddGauge("spatialbuf_writeback_canceled_total", "Queued write-backs taken back because the page was re-admitted dirty.",
 			func() float64 { return float64(ap.Writeback().Canceled) })
 		svc.AddGauge("spatialbuf_writeback_errors_total", "Background page writes that failed.",
 			func() float64 { return float64(ap.Writeback().Errors) })

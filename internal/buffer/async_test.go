@@ -39,14 +39,53 @@ func (s *gatedStore) Read(id page.ID) (*page.Page, error) {
 
 // blockWriteStore blocks every Write until the gate is closed, keeping
 // write-back queue entries pending for as long as a test needs them.
+// started, when non-nil, receives each page as its Write begins; tests
+// buffer it for every write they cause, so announcing a write never
+// blocks a writer. After the gate opens, Write stores a decoded copy of
+// the page, as a FileStore would: encoding reads every entry, so the
+// race detector sees a caller changing a page under an in-flight write.
+// It logs the ObjID of the first entry, so tests can check the order in
+// which versions landed.
 type blockWriteStore struct {
 	storage.Store
-	gate chan struct{}
+	gate    chan struct{}
+	started chan *page.Page
+
+	mu     sync.Mutex
+	landed []uint64
 }
 
 func (s *blockWriteStore) Write(p *page.Page) error {
+	if s.started != nil {
+		s.started <- p
+	}
 	<-s.gate
-	return s.Store.Write(p)
+	var buf [storage.PageSize]byte
+	if err := storage.EncodePage(p, buf[:]); err != nil {
+		return err
+	}
+	q, err := storage.DecodePage(buf[:])
+	if err != nil {
+		return err
+	}
+	if len(q.Entries) > 0 {
+		s.mu.Lock()
+		s.landed = append(s.landed, q.Entries[0].ObjID)
+		s.mu.Unlock()
+	}
+	return s.Store.Write(q)
+}
+
+// CopiesWrites reports that Write keeps no reference to the page, so
+// the write-back queue recycles its snapshots over this store.
+func (s *blockWriteStore) CopiesWrites() bool { return true }
+
+// landedVersions returns the first-entry ObjIDs of completed writes, in
+// landing order.
+func (s *blockWriteStore) landedVersions() []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]uint64(nil), s.landed...)
 }
 
 // countingStore counts Reads per page on top of a base store.
@@ -551,5 +590,178 @@ func TestWritebackBackpressure(t *testing.T) {
 	close(bw.gate)
 	if err := w.close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAsyncTakeDuringWrite misses on a page while a background writer
+// is encoding it, then changes and evicts the page again. The miss must
+// get a private copy (the caller mutates it while the writer still
+// reads the queued page), and the newer version's write must land after
+// the in-flight one, never before it. Run under -race: in the second
+// round the caller mutates its copy while the writer encodes the
+// original, so handing out the queued page itself is a reported race.
+func TestAsyncTakeDuringWrite(t *testing.T) {
+	for _, releaseFirst := range []bool{false, true} {
+		bw := &blockWriteStore{
+			Store:   newStore(t, 32),
+			gate:    make(chan struct{}),
+			started: make(chan *page.Page, 8),
+		}
+		comp := Composition{Layout: LayoutAsync, Shards: 1, WritebackWorkers: 2, WritebackQueue: 4}
+		pool, err := comp.Build(bw, testFactory, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := AccessContext{}
+		get := func(id page.ID) *page.Page {
+			t.Helper()
+			p, err := pool.Get(id, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+
+		// FIFO over two frames: the two Gets evict dirty page 9 into the
+		// queue, and a writer picks it up and blocks in the store.
+		if err := pool.Put(testPage(9, 1), ctx); err != nil {
+			t.Fatal(err)
+		}
+		get(1)
+		get(2)
+		writing := <-bw.started
+
+		p := get(9)
+		if p == writing {
+			t.Fatal("miss during the write got the page the writer is encoding, want a private copy")
+		}
+		if p.Entries[0].ObjID != 1 {
+			t.Fatalf("miss during the write got version %d, want 1", p.Entries[0].ObjID)
+		}
+		if releaseFirst {
+			close(bw.gate)
+		}
+		// Mutate in place, as the R*-tree does, and write the page back.
+		p.Entries[0].ObjID = 2
+		p.Recompute()
+		if err := pool.Put(p, ctx); err != nil {
+			t.Fatal(err)
+		}
+		get(1)
+		get(2)
+		if !releaseFirst {
+			// Version 2 was evicted while version 1 is still in flight:
+			// it must wait behind that write rather than race it.
+			close(bw.gate)
+		}
+		if err := pool.(interface{ Close() error }).Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		got := bw.landedVersions()
+		if len(got) == 0 || got[len(got)-1] != 2 {
+			t.Fatalf("releaseFirst=%v: writes landed as versions %v, want version 2 last", releaseFirst, got)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
+				t.Fatalf("releaseFirst=%v: writes landed as versions %v, an older version after a newer one", releaseFirst, got)
+			}
+		}
+		stored, err := bw.Store.Read(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored.Entries[0].ObjID != 2 {
+			t.Fatalf("releaseFirst=%v: store holds version %d, want 2", releaseFirst, stored.Entries[0].ObjID)
+		}
+	}
+}
+
+// TestWritebackOneWriterPerPage leaves a stale queue slot behind — take
+// cancels a queued page, enqueue queues it again — so two writers can
+// dequeue the same page ID. Only one of them may write it: a second
+// concurrent writer could land an older version after a newer one.
+func TestWritebackOneWriterPerPage(t *testing.T) {
+	bw := &blockWriteStore{
+		Store:   newStore(t, 8),
+		gate:    make(chan struct{}),
+		started: make(chan *page.Page, 8),
+	}
+	w := newWriteback(bw, 2, 8)
+	// Occupy both writers with pages 1 and 2.
+	for id := page.ID(1); id <= 2; id++ {
+		if !w.enqueue(testPage(id, uint64(id))) {
+			t.Fatal("enqueue refused")
+		}
+	}
+	<-bw.started
+	<-bw.started
+
+	if !w.enqueue(testPage(3, 30)) {
+		t.Fatal("enqueue refused")
+	}
+	if p, ok := w.take(3); !ok || p.Entries[0].ObjID != 30 {
+		t.Fatalf("take(3) = %v, %v; want the queued version 30", p, ok)
+	}
+	if !w.enqueue(testPage(3, 31)) {
+		t.Fatal("enqueue refused")
+	}
+	close(bw.gate)
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := w.metrics(); m.Written != 3 {
+		t.Fatalf("written = %d, want 3 (page 3 once, by one writer): %+v", m.Written, m)
+	}
+	stored, err := bw.Store.Read(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.Entries[0].ObjID != 31 {
+		t.Fatalf("store holds version %d of page 3, want 31", stored.Entries[0].ObjID)
+	}
+}
+
+// TestAsyncEvictedPageChangedByHolder changes a page the caller still
+// holds after the pool evicted it dirty into the write-back queue — the
+// R*-tree does this when a node it read is evicted by later reads of
+// the same operation. The background write must encode the queue's own
+// snapshot, never the caller's page (-race reports the shared read),
+// and the caller's newer version must land after the in-flight one.
+func TestAsyncEvictedPageChangedByHolder(t *testing.T) {
+	bw := &blockWriteStore{
+		Store:   newStore(t, 32),
+		gate:    make(chan struct{}),
+		started: make(chan *page.Page, 8),
+	}
+	comp := Composition{Layout: LayoutAsync, Shards: 1, WritebackWorkers: 2, WritebackQueue: 4}
+	pool, err := comp.Build(bw, testFactory, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := AccessContext{}
+	held := testPage(9, 1)
+	if err := pool.Put(held, ctx); err != nil {
+		t.Fatal(err)
+	}
+	for id := page.ID(1); id <= 2; id++ {
+		if _, err := pool.Get(id, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if writing := <-bw.started; writing == held {
+		t.Fatal("the writer got the caller's page, want the queue's snapshot")
+	}
+	close(bw.gate)
+	held.Entries[0].ObjID = 2
+	held.Recompute()
+	if err := pool.Put(held, ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.(interface{ Close() error }).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bw.landedVersions(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("writes landed as versions %v, want [1 2]", got)
 	}
 }

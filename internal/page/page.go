@@ -66,7 +66,10 @@ type Entry struct {
 // per frame. All spatial criteria are precomputed here when the page is
 // (re)built, so eviction decisions are O(1) per inspected page — the paper
 // notes (§2.3) that area and margin cost almost nothing at load time and
-// that even the costlier entry overlap is worth storing with the page.
+// that even the costlier entry overlap is worth storing with the page. The
+// storage codec follows that advice: MBR and the three entry statistics
+// are stored in the on-disk page header, so a read decodes them instead of
+// recomputing them.
 type Meta struct {
 	ID    ID
 	Type  Type
@@ -104,32 +107,30 @@ func New(id ID, typ Type, level, capacity int) *Page {
 // the current entry list. Call after any entry mutation. The pairwise
 // overlap is O(n²) in the number of entries; with the paper's fan-outs
 // (≤ 51) this is at most ~1300 rectangle intersections per page build.
-func (p *Page) Recompute() {
-	m := &p.Meta
-	m.NumEntries = len(p.Entries)
-	m.MBR = geom.EmptyRect()
-	m.EntryAreaSum = 0
-	m.EntryMarginSum = 0
-	m.EntryOverlap = 0
-	for i := range p.Entries {
-		r := p.Entries[i].MBR
-		m.MBR = m.MBR.Union(r)
-		m.EntryAreaSum += r.Area()
-		m.EntryMarginSum += r.Margin()
-		for j := 0; j < i; j++ {
-			m.EntryOverlap += r.OverlapArea(p.Entries[j].MBR)
-		}
-	}
-}
+func (p *Page) Recompute() { p.Meta = p.derive(true) }
 
 // RecomputeFast rebuilds the O(n) derived fields (MBR, entry area and
 // margin sums) but sets EntryOverlap to zero instead of paying the O(n²)
 // pairwise-overlap pass. Index construction uses it on every mutation and
-// finishes with one full Recompute sweep per page (the paper makes the same
-// trade-off in §2.3: the overlap "is costlier — storing this information on
-// the page may be worthwhile").
-func (p *Page) RecomputeFast() {
-	m := &p.Meta
+// finishes with one full Recompute sweep per page. The paper makes the
+// same trade-off in §2.3: the overlap "is costlier — storing this
+// information on the page may be worthwhile". The on-disk format does
+// exactly that: the storage codec stores the full Derived statistics in
+// the page header, so a page re-read from a FileStore carries its
+// EntryOverlap even when it was written with RecomputeFast.
+func (p *Page) RecomputeFast() { p.Meta = p.derive(false) }
+
+// Derived returns the Meta that Recompute would give p, without
+// modifying p. The storage codec uses it to write the full statistics of
+// a page whose own Meta may be stale (RecomputeFast) or shared with
+// concurrent readers.
+func (p *Page) Derived() Meta { return p.derive(true) }
+
+// derive is the single implementation of the derived statistics: p's
+// Meta with NumEntries, MBR and the entry sums rebuilt from the entry
+// list, EntryOverlap only when overlap is set (zero otherwise).
+func (p *Page) derive(overlap bool) Meta {
+	m := p.Meta
 	m.NumEntries = len(p.Entries)
 	m.MBR = geom.EmptyRect()
 	m.EntryAreaSum = 0
@@ -140,7 +141,13 @@ func (p *Page) RecomputeFast() {
 		m.MBR = m.MBR.Union(r)
 		m.EntryAreaSum += r.Area()
 		m.EntryMarginSum += r.Margin()
+		if overlap {
+			for j := 0; j < i; j++ {
+				m.EntryOverlap += r.OverlapArea(p.Entries[j].MBR)
+			}
+		}
 	}
+	return m
 }
 
 // Append adds an entry without recomputing derived state; callers batch

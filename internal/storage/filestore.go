@@ -104,6 +104,12 @@ func (s *FileStore) Write(p *page.Page) error {
 	return nil
 }
 
+// CopiesWrites reports that Write encodes the page and keeps no
+// reference to it, so the caller may reuse or change the page once
+// Write returns (an async buffer pool recycles its write-back snapshots
+// on this basis).
+func (s *FileStore) CopiesWrites() bool { return true }
+
 // Read implements Store.
 func (s *FileStore) Read(id page.ID) (*page.Page, error) {
 	if id == page.InvalidID || uint64(id) >= s.next.Load() {
@@ -117,7 +123,7 @@ func (s *FileStore) Read(id page.ID) (*page.Page, error) {
 	}
 	p, err := DecodePage(buf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
 	}
 	if p.ID != id {
 		return nil, fmt.Errorf("storage: page %d slot holds page %d (never written?)", id, p.ID)

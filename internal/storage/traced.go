@@ -5,9 +5,9 @@ import (
 	"repro/internal/page"
 )
 
-// PageBytes returns the encoded size of p in bytes — the header plus its
-// entries, i.e. the payload a FileStore write would occupy before padding
-// to PageSize. Trace spans report this instead of the padded size so that
+// PageBytes returns the encoded size of p in bytes — the 72-byte header
+// plus 48 bytes per entry, i.e. the payload a FileStore write would
+// occupy before padding to PageSize. Trace spans report this instead of the padded size so that
 // sparse and dense pages are distinguishable in the I/O profile.
 func PageBytes(p *page.Page) int {
 	if p == nil {
