@@ -6,9 +6,7 @@
 // with one shard per CPU — a steady-state workload to watch through
 // /metrics, /vars and the dashboard. The pool is selected by the -pool
 // composition spec (e.g. "locked", "sharded,shards=4",
-// "async,shards=8,wbworkers=2"); the old -shards/-writeback-* flags
-// remain as deprecated aliases (-shards 1 falls back to the single
-// mutex-protected locked engine). With a sharded layout, /metrics
+// "async,shards=8,wbworkers=2"). With a sharded layout, /metrics
 // additionally exposes per-shard residency and ASB gauges labeled
 // shard="i".
 //
@@ -105,7 +103,6 @@ type config struct {
 	frac     float64
 	workers  int
 	pool     string
-	shards   int
 	duration time.Duration
 	loops    int
 	rate     int
@@ -115,9 +112,6 @@ type config struct {
 
 	traceSample int
 	traceBuf    int
-
-	wbWorkers int
-	wbQueue   int
 
 	shadowPolicies string
 	shadowLadder   string
@@ -134,8 +128,7 @@ func main() {
 	flag.StringVar(&cfg.policy, "policy", "ASB", "replacement policy: a registry name (LRU, ASB, ...) or a parameterized spec like LRU-K:4, SLRU:EA:0.25, SPATIAL:EM, ASB:A:0.3, PIN:2")
 	flag.Float64Var(&cfg.frac, "frac", experiment.LargestFrac, "buffer size as a fraction of the database")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "concurrent replay goroutines")
-	flag.StringVar(&cfg.pool, "pool", "", "pool composition spec: layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (empty = derive from the deprecated -shards/-writeback-* flags)")
-	flag.IntVar(&cfg.shards, "shards", runtime.GOMAXPROCS(0), "deprecated alias (use -pool): buffer pool shards (1 = single mutex-protected pool)")
+	flag.StringVar(&cfg.pool, "pool", "async", "pool composition spec: layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (shards=0 or omitted = one per CPU)")
 	flag.DurationVar(&cfg.duration, "duration", 0, "stop after this long (0 = run until signalled)")
 	flag.IntVar(&cfg.loops, "loops", 0, "trace replays per worker (0 = unbounded)")
 	flag.IntVar(&cfg.rate, "rate", 0, "approximate total requests/second across workers (0 = unthrottled)")
@@ -144,8 +137,6 @@ func main() {
 	flag.IntVar(&cfg.ring, "ring", live.DefaultRingCapacity, "with -events: async ring capacity in events")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 1024, "record a span trace for 1 in N requests, served at /debug/trace (0 = tracing off)")
 	flag.IntVar(&cfg.traceBuf, "trace-buf", 256, "completed traces retained per shard ring")
-	flag.IntVar(&cfg.wbWorkers, "writeback-workers", buffer.DefaultWritebackWorkers, "deprecated alias (use -pool wbworkers=): async layout background dirty-page writer goroutines")
-	flag.IntVar(&cfg.wbQueue, "writeback-queue", buffer.DefaultWritebackQueue, "deprecated alias (use -pool wbqueue=): async layout write-back queue capacity in pages")
 	flag.StringVar(&cfg.shadowPolicies, "shadow", "LRU,SLRU 50%,ASB", "comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)")
 	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", "0.5,1,2,4", "capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)")
 	flag.IntVar(&cfg.shadowSample, "shadow-sample", 1, "feed the shadow bank 1 in N request events")
@@ -157,34 +148,17 @@ func main() {
 	}
 }
 
-// poolComposition resolves the pool composition: the -pool spec when
-// given, otherwise the historical behavior of the deprecated flags —
-// an async sharded pool with one shard per -shards, falling back to a
-// single locked engine at -shards 1.
+// poolComposition parses the -pool spec, rejecting a bare
+// (single-threaded) engine shared by several workers.
 func poolComposition(cfg config) (buffer.Composition, error) {
-	if cfg.pool != "" {
-		comp, err := buffer.ParseComposition(cfg.pool)
-		if err != nil {
-			return buffer.Composition{}, err
-		}
-		if comp.Layout == buffer.LayoutBare && cfg.workers > 1 {
-			return buffer.Composition{}, fmt.Errorf("-pool bare is single-threaded; use -workers 1 or a locked/sharded/async layout")
-		}
-		return comp, nil
+	comp, err := buffer.ParseComposition(cfg.pool)
+	if err != nil {
+		return buffer.Composition{}, err
 	}
-	shards := cfg.shards
-	if shards < 1 {
-		shards = 1
+	if comp.Layout == buffer.LayoutBare && cfg.workers > 1 {
+		return buffer.Composition{}, fmt.Errorf("-pool bare is single-threaded; use -workers 1 or a locked/sharded/async layout")
 	}
-	if shards == 1 {
-		return buffer.Composition{Layout: buffer.LayoutLocked}, nil
-	}
-	return buffer.Composition{
-		Layout:           buffer.LayoutAsync,
-		Shards:           shards,
-		WritebackWorkers: cfg.wbWorkers,
-		WritebackQueue:   cfg.wbQueue,
-	}, nil
+	return comp, nil
 }
 
 func run(cfg config) error {
@@ -309,14 +283,9 @@ func run(cfg config) error {
 	}
 	if tracer != nil {
 		cont := tracing.NewContention(shards)
-		if tp, ok := pool.(interface {
-			SetTracer(t *tracing.Tracer)
-			EnableContention(c *tracing.Contention)
-		}); ok {
-			tp.SetTracer(tracer)
-			tp.EnableContention(cont)
-		} else if e, ok := pool.(*buffer.Engine); ok {
-			e.SetTracer(tracer, 0)
+		pool.(interface{ SetTracer(*tracing.Tracer) }).SetTracer(tracer)
+		if cp, ok := pool.(interface{ EnableContention(*tracing.Contention) }); ok {
+			cp.EnableContention(cont)
 		}
 		svc.AddContentionGauges(cont)
 		svc.AddTracerGauges(tracer)

@@ -44,7 +44,7 @@ func main() {
 
 	frames := db.Frames(0.047)
 	pol := core.NewASB(frames, core.DefaultASBOptions())
-	buf, err := buffer.NewManager(db.Store, pol, frames)
+	buf, err := buffer.NewEngine(db.Store, pol, frames)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func main() {
 		bs.Requests, bs.HitRatio()*100, bs.DiskReads())
 
 	// Compare against a static LRU buffer on the identical workload.
-	lruStats, err := trace.RunLive(db.Tree, mixed, mustManager(db, core.NewLRU(), frames))
+	lruStats, err := trace.RunLive(db.Tree, mixed, mustEngine(db, core.NewLRU(), frames))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func main() {
 		lruStats.DiskReads(), gain)
 }
 
-func mustManager(db *experiment.Database, pol buffer.Policy, frames int) *buffer.Manager {
-	m, err := buffer.NewManager(db.Store, pol, frames)
+func mustEngine(db *experiment.Database, pol buffer.Policy, frames int) *buffer.Engine {
+	m, err := buffer.NewEngine(db.Store, pol, frames)
 	if err != nil {
 		log.Fatal(err)
 	}

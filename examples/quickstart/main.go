@@ -50,7 +50,7 @@ func main() {
 	//    self-tuning adaptable spatial buffer.
 	frames := stats.TotalPages() * 4 / 100
 	policy := core.NewASB(frames, core.DefaultASBOptions())
-	buf, err := buffer.NewManager(store, policy, frames)
+	buf, err := buffer.NewEngine(store, policy, frames)
 	if err != nil {
 		log.Fatal(err)
 	}

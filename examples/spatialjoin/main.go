@@ -69,11 +69,11 @@ func main() {
 	order := []string{"LRU", "LRU-2", "A", "ASB"}
 	var lruIO uint64
 	for _, name := range order {
-		bufL, err := buffer.NewManager(leftStore, mkPolicy[name](framesL), framesL)
+		bufL, err := buffer.NewEngine(leftStore, mkPolicy[name](framesL), framesL)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bufR, err := buffer.NewManager(rightStore, mkPolicy[name](framesR), framesR)
+		bufR, err := buffer.NewEngine(rightStore, mkPolicy[name](framesR), framesR)
 		if err != nil {
 			log.Fatal(err)
 		}

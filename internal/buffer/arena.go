@@ -1,13 +1,13 @@
 package buffer
 
 // Arena is a fixed pre-allocated table of Frames with a free-list: the
-// frame-recycling substrate behind a Manager (one arena per manager, so
-// one per pool shard). All frames a manager ever serves come from its
+// frame-recycling substrate behind an Engine (one arena per engine, so
+// one per pool shard). All frames an engine ever serves come from its
 // arena, so steady-state admission and eviction perform zero heap
 // allocations — a miss pops a scrubbed frame off the free-list and an
 // eviction pushes the victim back.
 //
-// Recycling is safe because frames never escape the manager's
+// Recycling is safe because frames never escape the engine's
 // serialization: the Pool implementations return *page.Page to callers,
 // never *Frame, and every frame access (policy callbacks, write-back
 // enqueue) happens under the shard's lock before the frame is freed.
@@ -71,7 +71,7 @@ func (a *Arena) Free(f *Frame) {
 }
 
 // Reset scrubs every frame and rebuilds the free-list (all frames free).
-// Slot 0 is allocated first, so a cleared manager refills its arena in
+// Slot 0 is allocated first, so a cleared engine refills its arena in
 // deterministic order.
 func (a *Arena) Reset() {
 	for i := range a.frames {

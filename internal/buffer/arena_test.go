@@ -104,7 +104,7 @@ func TestArenaReset(t *testing.T) {
 // residency exactly and never exceeds capacity.
 func TestManagerArenaSteadyState(t *testing.T) {
 	s := newStore(t, 32)
-	m, err := NewManager(s, newTestPolicy(), 8)
+	m, err := NewEngine(s, newTestPolicy(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,15 +111,25 @@ func testPage(id page.ID, obj uint64) *page.Page {
 	return p
 }
 
+// newAsyncPool builds the async composition: the async layer over a
+// router of the given shard count.
+func newAsyncPool(store storage.Store, factory PolicyFactory, capacity, shards int, cfg AsyncConfig) (*AsyncPool, error) {
+	r, err := NewRouter(store, factory, capacity, shards)
+	if err != nil {
+		return nil, err
+	}
+	return Async(r, cfg), nil
+}
+
 // waitForRequests polls until the pool has accounted n requests — i.e.
 // the leader is mid-read and every other goroutine is registered as a
 // coalesced waiter — or the deadline passes.
-func waitForRequests(t *testing.T, sp *ShardedPool, n uint64) {
+func waitForRequests(t *testing.T, p Pool, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for sp.Stats().Requests < n {
+	for p.Stats().Requests < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d accounted requests (have %d)", n, sp.Stats().Requests)
+			t.Fatalf("timed out waiting for %d accounted requests (have %d)", n, p.Stats().Requests)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -131,7 +141,7 @@ func waitForRequests(t *testing.T, sp *ShardedPool, n uint64) {
 // Coalesced holds exactly.
 func TestAsyncSingleflightOneRead(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
-	sp, err := NewAsyncShardedPool(gs, testFactory, 4, 1, AsyncConfig{})
+	sp, err := newAsyncPool(gs, testFactory, 4, 1, AsyncConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestAsyncSingleflightOneRead(t *testing.T) {
 func TestAsyncSingleflightSharedError(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
 	gs.fail.Store(true)
-	sp, err := NewAsyncShardedPool(gs, testFactory, 4, 1, AsyncConfig{})
+	sp, err := newAsyncPool(gs, testFactory, 4, 1, AsyncConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +237,7 @@ func TestAsyncSingleflightSharedError(t *testing.T) {
 // real pin afterwards (each Unfix releases exactly one).
 func TestAsyncFixCoalesce(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
-	sp, err := NewAsyncShardedPool(gs, testFactory, 4, 1, AsyncConfig{})
+	sp, err := newAsyncPool(gs, testFactory, 4, 1, AsyncConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +279,12 @@ func TestAsyncFixCoalesce(t *testing.T) {
 // TestAsyncSingleShardSeedEquivalence pins the tentpole's compatibility
 // promise: a single-threaded read-only replay through a 1-shard async
 // pool is stat-for-stat — and event-for-event — identical to the seed
-// Manager over the same reference string.
+// bare engine over the same reference string.
 func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	const numPages, capacity, requests = 64, 16, 4096
 
 	seedStore := newStore(t, numPages)
-	seed, err := NewManager(seedStore, newTestPolicy(), capacity)
+	seed, err := NewEngine(seedStore, newTestPolicy(), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	seed.SetSink(seedSink)
 
 	asyncStore := newStore(t, numPages)
-	sp, err := NewAsyncShardedPool(asyncStore, testFactory, capacity, 1, AsyncConfig{})
+	sp, err := newAsyncPool(asyncStore, testFactory, capacity, 1, AsyncConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +339,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seedLog.Bytes(), asyncLog.Bytes()) {
-		t.Error("event streams diverge between seed Manager and 1-shard async pool")
+		t.Error("event streams diverge between bare engine and 1-shard async pool")
 	}
 }
 
@@ -340,7 +350,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 func TestAsyncConcurrentGetStress(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 256, 64, 8, 1500
 	cs := &countingStore{Store: newStore(t, numPages)}
-	sp, err := NewAsyncShardedPool(cs, testFactory, capacity, 4, AsyncConfig{})
+	sp, err := newAsyncPool(cs, testFactory, capacity, 4, AsyncConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +393,7 @@ func TestAsyncConcurrentGetStress(t *testing.T) {
 // write eventually happens.
 func TestAsyncWritebackReadYourWrites(t *testing.T) {
 	bw := &blockWriteStore{Store: newStore(t, 32), gate: make(chan struct{})}
-	sp, err := NewAsyncShardedPool(bw, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+	sp, err := newAsyncPool(bw, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +450,7 @@ func TestAsyncWritebackReadYourWrites(t *testing.T) {
 // is empty.
 func TestAsyncFlushDrainsWriteback(t *testing.T) {
 	st := newStore(t, 32)
-	sp, err := NewAsyncShardedPool(st, testFactory, 4, 1, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 16})
+	sp, err := newAsyncPool(st, testFactory, 4, 1, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +539,7 @@ func (s *failWriteStore) Write(*page.Page) error { return errFailedWrite }
 // sticky error along with the rest of the accounting.
 func TestWritebackStickyError(t *testing.T) {
 	fs := &failWriteStore{Store: newStore(t, 8)}
-	sp, err := NewAsyncShardedPool(fs, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+	sp, err := newAsyncPool(fs, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,7 @@
 //     (Async).
 //
 // Compositions are described by a Composition spec (ParseComposition /
-// Composition.Build); the historical Manager, SyncManager, ShardedPool
-// and AsyncShardedPool names remain as thin constructors over this
-// stack. See DESIGN.md, "Engine layering".
+// Composition.Build). See DESIGN.md, "Engine layering".
 //
 // A page request is a hit (served from memory, no physical I/O) or a
 // miss (one physical read through the store, possibly preceded by an
@@ -103,13 +101,6 @@ type Frame struct {
 	// Stamp is a policy-owned recency shadow of LastUse (Spatial updates
 	// it in OnHit, before the engine bumps LastUse).
 	Stamp uint64
-
-	// aux is policy-private per-frame state for policies outside this
-	// package that need more than the embedded words. The standard
-	// policies no longer use it; it remains for extension policies (and
-	// the list-backed reference implementations the equivalence tests
-	// keep).
-	aux any
 }
 
 // Pinned reports whether the frame is currently pinned and therefore not
@@ -119,12 +110,6 @@ func (f *Frame) Pinned() bool { return f.pins > 0 }
 // ArenaIndex returns the frame's slot in its engine's arena, or -1 for
 // frames constructed outside an arena (hand-made test frames).
 func (f *Frame) ArenaIndex() int32 { return f.arena - 1 }
-
-// Aux returns the policy-private state attached to the frame.
-func (f *Frame) Aux() any { return f.aux }
-
-// SetAux attaches policy-private state to the frame.
-func (f *Frame) SetAux(v any) { f.aux = v }
 
 // Policy decides which frame to evict when the buffer is full.
 //

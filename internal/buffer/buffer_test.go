@@ -10,9 +10,33 @@ import (
 	"repro/internal/storage"
 )
 
-// testPolicy is a minimal FIFO policy for exercising manager mechanics.
+// frameSlots is a test policy's per-frame state, indexed by the frame's
+// arena slot. A lookup costs about what a field of the frame would, so
+// BenchmarkPoolParallel, which runs testPolicy, times the pool and not a
+// map. The arena recycles frames, so a policy drops a frame's entry in
+// OnEvict and clears the table in Reset. Only engine-owned frames
+// (ArenaIndex ≥ 0) may be stored.
+type frameSlots[T any] []T
+
+func (s frameSlots[T]) at(f *Frame) T { return s[f.ArenaIndex()] }
+
+func (s *frameSlots[T]) put(f *Frame, v T) {
+	i := int(f.ArenaIndex())
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	(*s)[i] = v
+}
+
+func (s frameSlots[T]) drop(f *Frame) {
+	var zero T
+	s[f.ArenaIndex()] = zero
+}
+
+// testPolicy is a minimal FIFO policy for exercising engine mechanics.
 type testPolicy struct {
 	order   *list.List
+	elem    frameSlots[*list.Element]
 	admits  int
 	hits    int
 	evicts  int
@@ -26,7 +50,7 @@ func (p *testPolicy) Name() string { return "test-fifo" }
 func (p *testPolicy) OnAdmit(f *Frame, now uint64, ctx AccessContext) {
 	p.admits++
 	p.lastCtx = ctx
-	f.SetAux(p.order.PushBack(f))
+	p.elem.put(f, p.order.PushBack(f))
 }
 
 func (p *testPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
@@ -45,10 +69,14 @@ func (p *testPolicy) Victim(ctx AccessContext) *Frame {
 
 func (p *testPolicy) OnEvict(f *Frame) {
 	p.evicts++
-	p.order.Remove(f.Aux().(*list.Element))
+	p.order.Remove(p.elem.at(f))
+	p.elem.drop(f)
 }
 
-func (p *testPolicy) Reset() { p.order.Init() }
+func (p *testPolicy) Reset() {
+	p.order.Init()
+	clear(p.elem)
+}
 
 // newStore creates a MemStore with n single-entry pages (IDs 1..n).
 func newStore(t testing.TB, n int) *storage.MemStore {
@@ -67,15 +95,15 @@ func newStore(t testing.TB, n int) *storage.MemStore {
 	return s
 }
 
-func TestNewManagerValidation(t *testing.T) {
+func TestNewEngineValidation(t *testing.T) {
 	s := newStore(t, 1)
-	if _, err := NewManager(s, newTestPolicy(), 0); err == nil {
+	if _, err := NewEngine(s, newTestPolicy(), 0); err == nil {
 		t.Error("capacity 0 should fail")
 	}
-	if _, err := NewManager(nil, newTestPolicy(), 1); err == nil {
+	if _, err := NewEngine(nil, newTestPolicy(), 1); err == nil {
 		t.Error("nil store should fail")
 	}
-	if _, err := NewManager(s, nil, 1); err == nil {
+	if _, err := NewEngine(s, nil, 1); err == nil {
 		t.Error("nil policy should fail")
 	}
 }
@@ -83,7 +111,7 @@ func TestNewManagerValidation(t *testing.T) {
 func TestHitMissAccounting(t *testing.T) {
 	s := newStore(t, 5)
 	pol := newTestPolicy()
-	m, err := NewManager(s, pol, 3)
+	m, err := NewEngine(s, pol, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +171,7 @@ func TestLastUseUpdatedAfterOnHit(t *testing.T) {
 		// During OnHit, LastUse must still be the previous access time.
 		sawOld = f.LastUse < now
 	}
-	m, err := NewManager(s, pol, 2)
+	m, err := NewEngine(s, pol, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +202,7 @@ func (p *hookPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
 
 func TestPinPreventsEviction(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +234,7 @@ func TestPinPreventsEviction(t *testing.T) {
 
 func TestAllPinned(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +252,7 @@ func TestAllPinned(t *testing.T) {
 
 func TestDirtyWriteBackOnEviction(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +284,7 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	s := newStore(t, 2)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +317,7 @@ func TestFlush(t *testing.T) {
 func TestClear(t *testing.T) {
 	s := newStore(t, 4)
 	pol := newTestPolicy()
-	m, err := NewManager(s, pol, 2)
+	m, err := NewEngine(s, pol, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +350,7 @@ func TestClear(t *testing.T) {
 
 func TestGetUnknownPage(t *testing.T) {
 	s := newStore(t, 1)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +404,7 @@ func TestStatsDiskCounters(t *testing.T) {
 
 func TestCapacityOneBuffer(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

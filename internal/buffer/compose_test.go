@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -417,48 +416,5 @@ func TestComposedHitPathZeroAllocs(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDeprecatedConstructorsDelegate pins the compatibility contract of
-// the historical names: they must build the same layer stack the
-// composition specs do.
-func TestDeprecatedConstructorsDelegate(t *testing.T) {
-	m, err := NewManager(newStore(t, 8), newTestPolicy(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ *Engine = m // Manager IS the engine
-
-	sm := NewSyncManager(m)
-	var _ *LockedEngine = sm // SyncManager IS the locking layer
-	if sm.Engine() != m {
-		t.Error("NewSyncManager did not wrap the given engine")
-	}
-
-	sp, err := NewShardedPool(newStore(t, 8), testFactoryFIFO, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Async() {
-		t.Error("NewShardedPool built an async pool")
-	}
-	if sp.Router == nil || sp.Shards() != 2 {
-		t.Errorf("NewShardedPool routing: %d shards", sp.Shards())
-	}
-
-	ap, err := NewAsyncShardedPool(newStore(t, 8), testFactoryFIFO, 8, 2, AsyncConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ap.Close()
-	if !ap.Async() {
-		t.Error("NewAsyncShardedPool built a synchronous pool")
-	}
-	if ap.Writeback().QueueCap == 0 {
-		t.Error("NewAsyncShardedPool has no write-back queue")
-	}
-	if got := strings.TrimSpace(reflect.TypeOf(ap).String()); got != "*buffer.ShardedPool" {
-		t.Errorf("NewAsyncShardedPool built %s", got)
 	}
 }

@@ -18,17 +18,19 @@ import (
 // counts, dirty tracking and policy callbacks. It is also the only code
 // in the package that emits request-path observability events (and the
 // shadow page metadata they carry) and starts request-scoped tracing
-// spans; the layers above add concurrency, never semantics.
+// spans.
 //
 // An Engine on its own is not safe for concurrent use — that is the
 // locking layer's job (Lock / LockedEngine). The sharding layer
-// (NewRouter) routes page IDs across many locked engines, and the
-// async-I/O layer (Async) switches each engine's miss path to
-// singleflight reads outside the latch plus background write-back.
+// (NewRouter) routes page IDs across many locked engines. The async-I/O
+// layer (Async) only switches on a second miss protocol the engine
+// itself implements (serveAsync): singleflight reads outside the latch
+// plus background write-back. That protocol lives here, not in the
+// layer, because the frame table, the flight table and the trace slot
+// share one serialization domain (see DESIGN.md, "Engine layering").
 //
-// Manager is the historical name of the bare engine; the experiment
-// harness runs one engine per goroutine, exactly as the paper's
-// single-threaded evaluation does.
+// The experiment harness runs one bare engine per goroutine, exactly as
+// the paper's single-threaded evaluation does.
 type Engine struct {
 	store    storage.Store
 	policy   Policy
@@ -56,7 +58,8 @@ type Engine struct {
 
 	// tracer samples request-scoped span traces; nil when tracing is
 	// disabled (the request path then pays a single pointer test). shard
-	// is the pool-shard index stamped on every span this engine records.
+	// is the pool-shard index stamped on every span this engine records,
+	// set once by the sharding layer (lockForShard); 0 otherwise.
 	tracer *tracing.Tracer
 	shard  int
 	// slot hands the current request's Active trace to the policy and the
@@ -113,18 +116,6 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 	}, nil
 }
 
-// Manager is the historical name of the bare core engine — the
-// single-threaded pool the paper's experiments use. It is kept as an
-// alias so existing constructors, type switches and tests keep working;
-// new code should speak of Engine and the layer constructors.
-type Manager = Engine
-
-// NewManager creates a bare single-threaded buffer engine; it is the
-// historical spelling of NewEngine.
-func NewManager(store storage.Store, policy Policy, capacity int) (*Manager, error) {
-	return NewEngine(store, policy, capacity)
-}
-
 // enableAsync switches the engine's miss path to the asynchronous
 // protocol: physical reads run outside the latch with singleflight
 // coalescing, and dirty victims drain through wb. Called by the async
@@ -159,13 +150,11 @@ func (e *Engine) SetSink(s obs.Sink) {
 // store (via a storage.Traced wrapper, so physical I/O appears as child
 // spans) and, if the policy implements tracing.SlotSetter, to the policy
 // (so victim selections and ASB adaptations appear as child spans) —
-// like SetSink, one call instruments the whole stack. shard is the pool
-// shard this engine serves (0 for an unsharded engine); it is stamped
-// on every span and selects the tracer's trace ring. A nil tracer
-// detaches everything.
-func (e *Engine) SetTracer(t *tracing.Tracer, shard int) {
+// like SetSink, one call instruments the whole stack. Spans carry the
+// engine's shard index (0 unless a Router owns the engine), which also
+// selects the tracer's trace ring. A nil tracer detaches everything.
+func (e *Engine) SetTracer(t *tracing.Tracer) {
 	e.tracer = t
-	e.shard = shard
 	e.pendingLockWait = 0
 	if t != nil {
 		e.io = storage.Traced(e.store, &e.slot)
@@ -286,7 +275,7 @@ func (e *Engine) serveSync(id page.ID, ctx AccessContext, pin bool) (*page.Page,
 		}
 		return f.Page, true, nil
 	}
-	now := e.miss(id, ctx, false)
+	now := e.miss(false)
 	p, err := e.io.Read(id)
 	if err != nil {
 		// The miss was counted, so its event must still flow — with a
@@ -356,7 +345,7 @@ func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page
 			// other requests' events (documented accuracy caveat of the
 			// shadow-cache contract).
 			if !counted {
-				e.miss(id, ctx, true)
+				e.miss(true)
 				e.emitMiss(id, ctx, true, page.Meta{})
 				counted = true
 			}
@@ -401,7 +390,7 @@ func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page
 			// happen via a later eviction or Flush).
 			var now uint64
 			if !counted {
-				now = e.miss(id, ctx, true)
+				now = e.miss(true)
 				e.emitMiss(id, ctx, true, pg.Meta)
 				counted = true
 			} else {
@@ -432,7 +421,7 @@ func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page
 		var now uint64
 		emitPending := !counted
 		if !counted {
-			now = e.miss(id, ctx, false)
+			now = e.miss(false)
 			counted = true
 		} else {
 			now = e.tick()
@@ -556,8 +545,7 @@ func (e *Engine) hit(f *Frame, ctx AccessContext) {
 // (emitMiss) so the miss paths can attach the read page's Meta to the
 // event once the read resolved. Must run under the engine's
 // serialization.
-func (e *Engine) miss(id page.ID, ctx AccessContext, coalesced bool) uint64 {
-	_ = id
+func (e *Engine) miss(coalesced bool) uint64 {
 	e.clock++
 	e.stats.Requests++
 	e.stats.Misses++
@@ -620,7 +608,7 @@ func (e *Engine) allocFrame() *Frame {
 }
 
 // writebackEnqueuer is the hook a background write-back queue installs
-// on an engine (via setWriteback): enqueue hands over a dirty evicted
+// on an engine (via enableAsync): enqueue hands over a dirty evicted
 // page and reports whether the queue accepted it. It is called under
 // the latch, so it must never block; a false return (queue full or
 // closed) makes the engine fall back to a synchronous write — the
@@ -631,12 +619,6 @@ type writebackEnqueuer interface {
 	enqueue(p *page.Page) bool
 	take(id page.ID) (*page.Page, bool)
 }
-
-// setWriteback attaches (or, with nil, detaches) a background
-// write-back queue: dirty victims are enqueued instead of written
-// synchronously under the latch. enableAsync additionally switches the
-// miss path; setWriteback alone keeps misses synchronous.
-func (e *Engine) setWriteback(wb writebackEnqueuer) { e.wb = wb }
 
 // evictOne asks the policy for a victim, writes it back if dirty (or
 // hands it to the background write-back queue when one is attached),

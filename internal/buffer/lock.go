@@ -201,7 +201,7 @@ func (l *LockedEngine) SetSink(sink obs.Sink) {
 // LockWait. A nil tracer detaches.
 func (l *LockedEngine) SetTracer(t *tracing.Tracer) {
 	l.mu.Lock()
-	l.e.SetTracer(t, l.shard)
+	l.e.SetTracer(t)
 	l.mu.Unlock()
 	l.traceWait.Store(t != nil)
 }

@@ -74,17 +74,18 @@ func driveMissPool(tb testing.TB, pool Pool, workers int, ops int64) {
 }
 
 // missPools builds the two contenders over fresh slow stores: a
-// synchronous ShardedPool (physical reads under the shard lock) and an
-// async one (reads outside the lock, singleflight coalescing).
-func missPools(tb testing.TB) (syncPool, asyncPool *ShardedPool) {
+// synchronous Router (physical reads under the shard lock) and the
+// async layer over one (reads outside the lock, singleflight
+// coalescing).
+func missPools(tb testing.TB) (syncPool *Router, asyncPool *AsyncPool) {
 	mk := func() storage.Store {
 		return &delayStore{Store: newStore(tb, missNumPages), delay: missReadDelay}
 	}
-	sp, err := NewShardedPool(mk(), testFactory, missCapacity, missShards)
+	sp, err := NewRouter(mk(), testFactory, missCapacity, missShards)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ap, err := NewAsyncShardedPool(mk(), testFactory, missCapacity, missShards, AsyncConfig{})
+	ap, err := newAsyncPool(mk(), testFactory, missCapacity, missShards, AsyncConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -105,6 +106,7 @@ func BenchmarkPoolMissIO(b *testing.B) {
 			name string
 			pool Pool
 		}{
+			// Subtest names stay fixed so the bench gate pairs base and head rows.
 			{"LockedMiss", syncPool},
 			{"AsyncMiss", asyncPool},
 		} {
@@ -142,7 +144,7 @@ func TestWriteBenchMissIOJSON(t *testing.T) {
 		syncPool, asyncPool := missPools(t)
 		for _, tc := range []struct {
 			name string
-			pool *ShardedPool
+			pool Pool
 		}{
 			{"LockedMiss", syncPool},
 			{"AsyncMiss", asyncPool},

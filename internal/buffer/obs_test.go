@@ -31,7 +31,7 @@ func (p *sinkAwarePolicy) OnEvict(f *Frame) {
 
 func TestManagerEmitsRequestEvents(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestManagerEmitsRequestEvents(t *testing.T) {
 func TestSetSinkForwardsToPolicy(t *testing.T) {
 	s := newStore(t, 4)
 	pol := &sinkAwarePolicy{testPolicy: *newTestPolicy()}
-	m, err := NewManager(s, pol, 1)
+	m, err := NewEngine(s, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestSetSinkForwardsToPolicy(t *testing.T) {
 
 func TestSyncManagerSetSink(t *testing.T) {
 	s := newStore(t, 2)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSyncManager(m)
+	sm := Lock(m)
 	var counters obs.Counters
 	sm.SetSink(&counters)
 	if _, err := sm.Get(1, AccessContext{}); err != nil {
@@ -145,7 +145,7 @@ func TestSyncManagerSetSink(t *testing.T) {
 // every read and write request publishes a latency sample.
 func TestManagerTimesRequestsForLatencySinks(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestManagerTimesRequestsForLatencySinks(t *testing.T) {
 // when it is not used.
 func TestRequestHitPathZeroAllocs(t *testing.T) {
 	s := newStore(t, 1)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func BenchmarkManagerGetHit(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			s := newStore(b, 1)
-			m, err := NewManager(s, newTestPolicy(), 1)
+			m, err := NewEngine(s, newTestPolicy(), 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"repro/internal/obs"
+	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
 
@@ -61,12 +62,17 @@ type Pool interface {
 // instances. core.Factory.New is of this type.
 type PolicyFactory func(capacity int) Policy
 
-// Compile-time interface checks: the engine, every layer stack, and the
-// historical combined type implement Pool.
+// Compile-time interface checks: the engine and every layer stack
+// implement Pool, and all four attach a tracer through the same
+// SetTracer signature, so callers never switch on the concrete type.
 var (
 	_ Pool = (*Engine)(nil)
 	_ Pool = (*LockedEngine)(nil)
 	_ Pool = (*Router)(nil)
 	_ Pool = (*AsyncPool)(nil)
-	_ Pool = (*ShardedPool)(nil)
+
+	_ interface{ SetTracer(*tracing.Tracer) } = (*Engine)(nil)
+	_ interface{ SetTracer(*tracing.Tracer) } = (*LockedEngine)(nil)
+	_ interface{ SetTracer(*tracing.Tracer) } = (*Router)(nil)
+	_ interface{ SetTracer(*tracing.Tracer) } = (*AsyncPool)(nil)
 )

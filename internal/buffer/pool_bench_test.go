@@ -60,26 +60,26 @@ func drivePool(tb testing.TB, pool Pool, workers int, ops int64) {
 	}
 }
 
-// benchPools builds the two contenders over fresh stores: a SyncManager
-// (one global mutex) and a ShardedPool with the given shard count.
-func benchPools(tb testing.TB, shards int) (sync_ Pool, sharded Pool) {
-	m, err := NewManager(newStore(tb, benchNumPages), newTestPolicy(), benchCapacity)
+// benchPools builds the two contenders over fresh stores: a locked
+// engine (one global mutex) and a Router with the given shard count.
+func benchPools(tb testing.TB, shards int) (locked *LockedEngine, sharded *Router) {
+	e, err := NewEngine(newStore(tb, benchNumPages), newTestPolicy(), benchCapacity)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sp, err := NewShardedPool(newStore(tb, benchNumPages), testFactory, benchCapacity, shards)
+	r, err := NewRouter(newStore(tb, benchNumPages), testFactory, benchCapacity, shards)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return NewSyncManager(m), sp
+	return Lock(e), r
 }
 
-// BenchmarkPoolParallel compares SyncManager (global mutex) against
-// ShardedPool (page-hashed per-shard mutexes) under 1, 4 and 8 request
-// goroutines. The gap is latch contention only — same store, same
-// policy type, same reference mix — so on multi-core hardware the
-// sharded pool pulls ahead as workers grow, while at 1 worker the two
-// should be within noise of each other.
+// BenchmarkPoolParallel times the same hot/cold reference mix through a
+// locked engine (one global mutex) and through an 8-shard Router
+// (page-hashed per-shard mutexes) under 1, 4 and 8 request goroutines.
+// Store, policy type and reference mix are the same for both, so the
+// difference is the cost of one lock versus routing plus per-shard
+// locks at each worker count.
 func BenchmarkPoolParallel(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		syncPool, shardedPool := benchPools(b, 8)
@@ -87,6 +87,7 @@ func BenchmarkPoolParallel(b *testing.B) {
 			name string
 			pool Pool
 		}{
+			// Subtest names stay fixed so the bench gate pairs base and head rows.
 			{"SyncManager", syncPool},
 			{"ShardedPool", shardedPool},
 		} {
@@ -107,10 +108,10 @@ type benchResult struct {
 	OpsPerSec float64 `json:"ops_per_sec"`
 }
 
-// TestWriteBenchPoolJSON self-times the SyncManager-vs-ShardedPool
-// matrix and writes it as JSON to the path in BENCH_POOL_JSON — the
-// machine-readable artifact CI archives. Without the variable the test
-// is a no-op, so regular runs stay fast.
+// TestWriteBenchPoolJSON self-times the locked-vs-sharded matrix, under
+// the BenchmarkPoolParallel labels, and writes it as JSON to the path in
+// BENCH_POOL_JSON — the machine-readable artifact CI archives. Without
+// the variable the test is a no-op, so regular runs stay fast.
 func TestWriteBenchPoolJSON(t *testing.T) {
 	path := os.Getenv("BENCH_POOL_JSON")
 	if path == "" {

@@ -36,16 +36,19 @@ func (m *refModel) access(id page.ID) bool {
 
 // lruPolicy is a minimal LRU implementation local to this test (the real
 // policies live in package core, which buffer cannot import).
-type lruPolicy struct{ order *list.List }
+type lruPolicy struct {
+	order *list.List
+	elem  frameSlots[*list.Element]
+}
 
 func newLRUPolicy() *lruPolicy { return &lruPolicy{order: list.New()} }
 
 func (p *lruPolicy) Name() string { return "lru" }
 func (p *lruPolicy) OnAdmit(f *Frame, now uint64, ctx AccessContext) {
-	f.SetAux(p.order.PushFront(f))
+	p.elem.put(f, p.order.PushFront(f))
 }
 func (p *lruPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
-	p.order.MoveToFront(f.Aux().(*list.Element))
+	p.order.MoveToFront(p.elem.at(f))
 }
 func (p *lruPolicy) Victim(ctx AccessContext) *Frame {
 	for e := p.order.Back(); e != nil; e = e.Prev() {
@@ -56,9 +59,13 @@ func (p *lruPolicy) Victim(ctx AccessContext) *Frame {
 	return nil
 }
 func (p *lruPolicy) OnEvict(f *Frame) {
-	p.order.Remove(f.Aux().(*list.Element))
+	p.order.Remove(p.elem.at(f))
+	p.elem.drop(f)
 }
-func (p *lruPolicy) Reset() { p.order.Init() }
+func (p *lruPolicy) Reset() {
+	p.order.Init()
+	clear(p.elem)
+}
 
 // workload is a quick-generatable access sequence over a small ID space.
 type workload struct {
@@ -84,7 +91,7 @@ func (workload) Generate(r *rand.Rand, size int) reflect.Value {
 func TestQuickManagerMatchesLRUModel(t *testing.T) {
 	f := func(w workload) bool {
 		store := newQuickStore(24)
-		m, err := NewManager(store, newLRUPolicy(), int(w.Capacity))
+		m, err := NewEngine(store, newLRUPolicy(), int(w.Capacity))
 		if err != nil {
 			return false
 		}

@@ -235,10 +235,11 @@ func (r *Router) ResidentIDs() []page.ID {
 
 // InflightReads returns the number of physical reads currently in
 // progress outside the shard locks — the summed occupancy of the
-// per-shard singleflight tables. Always 0 without the async layer,
-// whose reads run under the shard lock. The shards are counted one
-// after another, so under churn the sum is an instantaneous estimate,
-// not an atomic snapshot — the usual multi-counter scrape contract.
+// per-shard singleflight tables. Always 0 without the async layer: the
+// synchronous miss path reads under the shard lock. The shards are
+// counted one after another, so under churn the sum is an instantaneous
+// estimate, not an atomic snapshot — the usual multi-counter scrape
+// contract.
 func (r *Router) InflightReads() int {
 	n := 0
 	for _, sh := range r.shards {

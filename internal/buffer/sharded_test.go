@@ -48,7 +48,7 @@ func TestStatsFieldSet(t *testing.T) {
 	}
 }
 
-// TestStatsAddProperty checks the algebra ShardedPool.Stats relies on:
+// TestStatsAddProperty checks the algebra Router.Stats relies on:
 // Add is the componentwise sum, merging per-shard snapshots in any
 // order yields the same total, and the merged value survives a JSON
 // round-trip unchanged.
@@ -100,8 +100,8 @@ func TestStatsAddProperty(t *testing.T) {
 }
 
 // TestShardedPoolSingleShardEquivalence replays a recorded reference
-// string through a ShardedPool with one shard and through a bare
-// Manager with the same policy type: identical Stats and identical
+// string through a Router with one shard and through a bare
+// engine with the same policy type: identical Stats and identical
 // resident sets, access for access.
 func TestShardedPoolSingleShardEquivalence(t *testing.T) {
 	const numPages, capacity = 40, 7
@@ -109,11 +109,11 @@ func TestShardedPoolSingleShardEquivalence(t *testing.T) {
 
 	s1 := newStore(t, numPages)
 	s2 := newStore(t, numPages)
-	m, err := NewManager(s1, newTestPolicy(), capacity)
+	m, err := NewEngine(s1, newTestPolicy(), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewShardedPool(s2, testFactory, capacity, 1)
+	sp, err := NewRouter(s2, testFactory, capacity, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestShardedPoolSingleShardEquivalence(t *testing.T) {
 func TestShardedPoolShardStatsMerge(t *testing.T) {
 	const numPages, capacity, shards, ops = 60, 16, 4, 5000
 	s := newStore(t, numPages)
-	sp, err := NewShardedPool(s, testFactory, capacity, shards)
+	sp, err := NewRouter(s, testFactory, capacity, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestShardedPoolShardStatsMerge(t *testing.T) {
 func TestShardedPoolWritePath(t *testing.T) {
 	const numPages = 12
 	s := newStore(t, numPages)
-	sp, err := NewShardedPool(s, testFactory, 6, 3)
+	sp, err := NewRouter(s, testFactory, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,30 +286,30 @@ func TestShardedPoolWritePath(t *testing.T) {
 // invalid inputs error.
 func TestShardedPoolClamping(t *testing.T) {
 	s := newStore(t, 4)
-	sp, err := NewShardedPool(s, testFactory, 5, 64)
+	sp, err := NewRouter(s, testFactory, 5, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Shards() != 2 {
 		t.Errorf("Shards() = %d, want 2 (clamped to capacity/2)", sp.Shards())
 	}
-	sp, err = NewShardedPool(s, testFactory, 1, 8)
+	sp, err = NewRouter(s, testFactory, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Shards() != 1 {
 		t.Errorf("Shards() = %d, want 1", sp.Shards())
 	}
-	if _, err := NewShardedPool(nil, testFactory, 4, 2); err == nil {
+	if _, err := NewRouter(nil, testFactory, 4, 2); err == nil {
 		t.Error("nil store should fail")
 	}
-	if _, err := NewShardedPool(s, nil, 4, 2); err == nil {
+	if _, err := NewRouter(s, nil, 4, 2); err == nil {
 		t.Error("nil factory should fail")
 	}
-	if _, err := NewShardedPool(s, testFactory, 0, 2); err == nil {
+	if _, err := NewRouter(s, testFactory, 0, 2); err == nil {
 		t.Error("zero capacity should fail")
 	}
-	if _, err := NewShardedPool(s, func(int) Policy { return nil }, 4, 2); err == nil {
+	if _, err := NewRouter(s, func(int) Policy { return nil }, 4, 2); err == nil {
 		t.Error("nil-returning factory should fail")
 	}
 }
@@ -320,7 +320,7 @@ func TestShardedPoolClamping(t *testing.T) {
 func TestShardedPoolConcurrent(t *testing.T) {
 	const numPages, capacity, shards, workers, perWorker = 64, 16, 4, 8, 2000
 	s := newStore(t, numPages)
-	sp, err := NewShardedPool(s, testFactory, capacity, shards)
+	sp, err := NewRouter(s, testFactory, capacity, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func (f *failingStore) Read(id page.ID) (*page.Page, error) {
 func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 	base := newStore(t, 5)
 	fs := &failingStore{Store: base, failRead: map[page.ID]bool{4: true}}
-	m, err := NewManager(fs, newTestPolicy(), 2)
+	m, err := NewEngine(fs, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 	// The same contract holds through a sharded pool (the path every
 	// concurrent consumer takes).
 	fsp := &failingStore{Store: newStore(t, 5), failRead: map[page.ID]bool{4: true}}
-	sp, err := NewShardedPool(fsp, testFactory, 2, 1)
+	sp, err := NewRouter(fsp, testFactory, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,11 +449,11 @@ func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 // placement).
 func TestShardedPoolDeterministicRouting(t *testing.T) {
 	s := newStore(t, 32)
-	sp1, err := NewShardedPool(s, testFactory, 16, 4)
+	sp1, err := NewRouter(s, testFactory, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp2, err := NewShardedPool(newStore(t, 32), testFactory, 16, 4)
+	sp2, err := NewRouter(newStore(t, 32), testFactory, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 
 func TestSyncManagerConcurrentGets(t *testing.T) {
 	s := newStore(t, 64)
-	m, err := NewManager(s, newTestPolicy(), 16)
+	m, err := NewEngine(s, newTestPolicy(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSyncManager(m)
+	sm := Lock(m)
 
 	const goroutines = 8
 	const perG = 800
@@ -56,11 +56,11 @@ func TestSyncManagerConcurrentGets(t *testing.T) {
 
 func TestSyncManagerMixedOps(t *testing.T) {
 	s := newStore(t, 32)
-	m, err := NewManager(s, newTestPolicy(), 8)
+	m, err := NewEngine(s, newTestPolicy(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSyncManager(m)
+	sm := Lock(m)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for g := 0; g < 4; g++ {

@@ -13,12 +13,12 @@ import (
 // the traced store wrapper.
 func TestManagerTracedRequest(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracing.NewTracer(1, 1, 16)
-	m.SetTracer(tr, 0)
+	m.SetTracer(tr)
 
 	ctx := AccessContext{QueryID: 9}
 	if _, err := m.Get(1, ctx); err != nil { // miss
@@ -53,12 +53,12 @@ func TestManagerTracedRequest(t *testing.T) {
 // store.Write child spans, and that Flush is traced unconditionally.
 func TestManagerTracedWriteBack(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracing.NewTracer(1, 1, 16)
-	m.SetTracer(tr, 0)
+	m.SetTracer(tr)
 
 	ctx := AccessContext{}
 	if _, err := m.Get(1, ctx); err != nil {
@@ -104,17 +104,17 @@ func TestManagerTracedWriteBack(t *testing.T) {
 	}
 }
 
-// TestManagerDetachTracer checks that SetTracer(nil, 0) restores the
+// TestManagerDetachTracer checks that SetTracer(nil) restores the
 // untraced store and stops recording.
 func TestManagerDetachTracer(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracing.NewTracer(1, 1, 16)
-	m.SetTracer(tr, 0)
-	m.SetTracer(nil, 0)
+	m.SetTracer(tr)
+	m.SetTracer(nil)
 	if _, err := m.Get(1, AccessContext{}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestManagerDetachTracer(t *testing.T) {
 // attached an unsampled hit allocates nothing either.
 func TestTracingDisabledHitAllocFree(t *testing.T) {
 	s := newStore(t, 2)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTracingDisabledHitAllocFree(t *testing.T) {
 	}
 
 	// Huge sampling interval: every request goes down the unsampled path.
-	m.SetTracer(tracing.NewTracer(1<<40, 1, 8), 0)
+	m.SetTracer(tracing.NewTracer(1<<40, 1, 8))
 	if allocs := testing.AllocsPerRun(500, func() {
 		if _, err := m.Get(1, ctx); err != nil {
 			t.Fatal(err)
@@ -159,59 +159,73 @@ func TestTracingDisabledHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestShardedPoolTracing checks that every shard stamps its own index on
-// its spans and records into its own ring, and that lock waits land in
-// root spans.
-func TestShardedPoolTracing(t *testing.T) {
+// TestRouterTracing checks, for the sharded and the async stack, that
+// every shard stamps the index its pages route to on its spans and
+// records into its own ring, and that lock waits land in root spans.
+func TestRouterTracing(t *testing.T) {
 	const shards = 4
-	s := newStore(t, 64)
-	pool, err := NewShardedPool(s, func(capacity int) Policy { return newTestPolicy() }, 32, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracing.NewTracer(1, pool.Shards(), 64)
-	pool.SetTracer(tr)
-	c := tracing.NewContention(pool.Shards())
-	pool.EnableContention(c)
+	for _, tc := range []struct {
+		name  string
+		build func(r *Router) Pool
+	}{
+		{"sharded", func(r *Router) Pool { return r }},
+		{"async", func(r *Router) Pool { return Async(r, AsyncConfig{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStore(t, 64)
+			r, err := NewRouter(s, func(capacity int) Policy { return newTestPolicy() }, 32, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := tc.build(r)
+			if cl, ok := pool.(interface{ Close() error }); ok {
+				defer cl.Close()
+			}
+			tr := tracing.NewTracer(1, r.Shards(), 64)
+			pool.(interface{ SetTracer(*tracing.Tracer) }).SetTracer(tr)
+			c := tracing.NewContention(r.Shards())
+			r.EnableContention(c)
 
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				id := page.ID(1 + (g*50+i)%64)
-				if _, err := pool.Get(id, AccessContext{QueryID: uint64(g)}); err != nil {
-					t.Error(err)
-					return
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						id := page.ID(1 + (g*50+i)%64)
+						if _, err := pool.Get(id, AccessContext{QueryID: uint64(g)}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+
+			seen := map[int32]bool{}
+			for _, trc := range tr.Traces(0) {
+				root := trc[0]
+				if want := int32(r.shardIndex(root.Page)); root.Shard != want {
+					t.Fatalf("root span of page %d on shard %d, want %d", root.Page, root.Shard, want)
+				}
+				seen[root.Shard] = true
+				for _, sp := range trc {
+					if sp.Shard != root.Shard {
+						t.Fatalf("span shard %d != root shard %d", sp.Shard, root.Shard)
+					}
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-
-	seen := map[int32]bool{}
-	for _, trc := range tr.Traces(0) {
-		shard := trc[0].Shard
-		seen[shard] = true
-		for _, sp := range trc {
-			if sp.Shard != shard {
-				t.Fatalf("span shard %d != root shard %d", sp.Shard, shard)
+			if len(seen) < 2 {
+				t.Fatalf("only %d shards recorded traces; want several", len(seen))
 			}
-		}
-		if shard < 0 || int(shard) >= shards {
-			t.Fatalf("shard index %d out of range", shard)
-		}
-	}
-	if len(seen) < 2 {
-		t.Fatalf("only %d shards recorded traces; want several", len(seen))
-	}
-	var acq uint64
-	for i := 0; i < c.Shards(); i++ {
-		acq += c.Acquisitions(i)
-	}
-	if acq != 200 {
-		t.Fatalf("profiler counted %d acquisitions, want 200", acq)
+			var acq uint64
+			for i := 0; i < c.Shards(); i++ {
+				acq += c.Acquisitions(i)
+			}
+			if acq != 200 {
+				t.Fatalf("profiler counted %d acquisitions, want 200", acq)
+			}
+		})
 	}
 }
 
@@ -219,11 +233,11 @@ func TestShardedPoolTracing(t *testing.T) {
 // shard 0 and the contention profiler counts every request acquisition.
 func TestSyncManagerTracing(t *testing.T) {
 	s := newStore(t, 8)
-	m, err := NewManager(s, newTestPolicy(), 4)
+	m, err := NewEngine(s, newTestPolicy(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSyncManager(m)
+	sm := Lock(m)
 	tr := tracing.NewTracer(1, 1, 32)
 	sm.SetTracer(tr)
 	c := tracing.NewContention(1)
@@ -240,7 +254,7 @@ func TestSyncManagerTracing(t *testing.T) {
 	}
 	for _, trc := range traces {
 		if trc[0].Shard != 0 {
-			t.Fatalf("SyncManager span on shard %d", trc[0].Shard)
+			t.Fatalf("locked engine span on shard %d", trc[0].Shard)
 		}
 	}
 	if c.Acquisitions(0) != 10 {

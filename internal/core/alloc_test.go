@@ -49,7 +49,7 @@ func TestPolicyZeroAlloc(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			store := buildStore(t, specs)
-			m := mustManager(t, store, f.New(capacity), capacity)
+			m := mustEngine(t, store, f.New(capacity), capacity)
 			// Pre-read every page once so measured Puts reuse these
 			// pointers; Clone during measurement would be a false positive.
 			puts := make([]*page.Page, numPages+1)
@@ -102,13 +102,15 @@ func BenchmarkPolicyOpsReference(b *testing.B) {
 	const numPages = 2048
 	seq, specs := benchAccesses(numPages, 1<<16)
 	for _, f := range core.StandardFactories() {
-		ref, ok := refFactories(256)[f.Name]
-		if !ok {
+		if _, ok := refFactories(256)[f.Name]; !ok {
 			b.Fatalf("no reference implementation for %q", f.Name)
 		}
 		b.Run(f.Name, func(b *testing.B) {
+			// A fresh policy per run, like BenchmarkPolicyOps: b.Run calls
+			// this body more than once, and a policy must not outlive its
+			// engine's frames.
 			s := buildStoreB(b, specs)
-			m, err := buffer.NewManager(s, ref, 256)
+			m, err := buffer.NewEngine(s, refFactories(256)[f.Name], 256)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -140,7 +142,7 @@ type policyCoreResult struct {
 func measurePolicy(t *testing.T, pol buffer.Policy, seq []access, specs []pageSpec, ops int) (float64, float64) {
 	t.Helper()
 	store := buildStore(t, specs)
-	m := mustManager(t, store, pol, 256)
+	m := mustEngine(t, store, pol, 256)
 	run := func(n int) {
 		for i := 0; i < n; i++ {
 			a := seq[i%len(seq)]

@@ -75,7 +75,7 @@ const (
 // votes never recompute MBR geometry and never allocate.
 //
 // ASB emits observability events when a sink is attached (via
-// buffer.Manager.SetSink or directly through SetSink): an
+// buffer.Engine.SetSink or directly through SetSink): an
 // OverflowPromotion per overflow hit carrying the §4.2 signal, an Adapt
 // per adaptation event (the Fig. 14 series), and an Eviction per page
 // leaving the buffer.

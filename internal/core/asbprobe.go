@@ -53,7 +53,7 @@ func NewASBProbe(capacity int, crit page.Criterion, candFrac float64) *ASBProbe 
 }
 
 // SetSink implements obs.SinkSetter: an externally attached sink (e.g.
-// via buffer.Manager.SetSink) observes the ASB's events alongside the
+// via buffer.Engine.SetSink) observes the ASB's events alongside the
 // probe's own recorder.
 func (p *ASBProbe) SetSink(s obs.Sink) {
 	p.ASB.SetSink(obs.Tee(p.rec, s))

@@ -38,7 +38,7 @@ func BenchmarkPolicyOps(b *testing.B) {
 		f := f
 		b.Run(f.Name, func(b *testing.B) {
 			s := buildStoreB(b, specs)
-			m, err := buffer.NewManager(s, f.New(256), 256)
+			m, err := buffer.NewEngine(s, f.New(256), 256)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,7 +14,7 @@ func TestClockSecondChance(t *testing.T) {
 	// sweeps: page 1 gets its second chance (bit cleared), page 2 is
 	// evicted.
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewClock(), 2)
+	m := mustEngine(t, s, core.NewClock(), 2)
 	runOn(t, m, seqOf(1, 2))
 	runOn(t, m, []access{q(1, 5)})
 	runOn(t, m, []access{q(3, 6)})
@@ -26,7 +26,7 @@ func TestClockSecondChance(t *testing.T) {
 func TestClockDegradesToFIFOWithoutHits(t *testing.T) {
 	// Without hits, CLOCK evicts in admission order.
 	s := buildStore(t, uniformPages(4, 1))
-	m := mustManager(t, s, core.NewClock(), 2)
+	m := mustEngine(t, s, core.NewClock(), 2)
 	misses := runOn(t, m, seqOf(1, 2, 3, 4))
 	if len(misses) != 4 {
 		t.Fatalf("misses = %v", misses)
@@ -61,7 +61,7 @@ func TestClockApproximatesLRU(t *testing.T) {
 func TestClockChurnStaysConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	s := buildStore(t, uniformPages(50, 1))
-	m := mustManager(t, s, core.NewClock(), 7)
+	m := mustEngine(t, s, core.NewClock(), 7)
 	for i := 0; i < 5000; i++ {
 		id := page.ID(rng.Intn(50) + 1)
 		if _, err := m.Get(id, buffer.AccessContext{QueryID: uint64(i)}); err != nil {
@@ -81,7 +81,7 @@ func TestClockChurnStaysConsistent(t *testing.T) {
 
 func TestClockAllPinned(t *testing.T) {
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewClock(), 2)
+	m := mustEngine(t, s, core.NewClock(), 2)
 	ctx := buffer.AccessContext{}
 	if _, err := m.Fix(1, ctx); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestPinLevelsKeepsDirectory(t *testing.T) {
 		dataPage(1), dataPage(1), dataPage(1),
 	}
 	s := buildStore(t, specs)
-	m := mustManager(t, s, core.NewPinLevels(1), 3)
+	m := mustEngine(t, s, core.NewPinLevels(1), 3)
 	runOn(t, m, seqOf(1, 2)) // directory in, oldest
 	runOn(t, m, seqOf(3, 4, 5))
 	// Leaves churn; directory pages stay pinned despite being older.
@@ -119,7 +119,7 @@ func TestPinLevelsFallbackWhenOnlyPinnedRemain(t *testing.T) {
 		{typ: page.TypeDirectory, level: 1, area: 1},
 	}
 	s := buildStore(t, specs)
-	m := mustManager(t, s, core.NewPinLevels(1), 2)
+	m := mustEngine(t, s, core.NewPinLevels(1), 2)
 	misses := runOn(t, m, seqOf(1, 2, 3))
 	if len(misses) != 3 || m.Len() != 2 {
 		t.Errorf("misses %v, len %d", misses, m.Len())

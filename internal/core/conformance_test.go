@@ -49,7 +49,7 @@ func TestPolicyConformance(t *testing.T) {
 		for _, pol := range allStandardPolicies(capacity) {
 			t.Run(pol.Name()+"/cap="+itoa(capacity), func(t *testing.T) {
 				s := buildStore(t, specs)
-				m := mustManager(t, s, pol, capacity)
+				m := mustEngine(t, s, pol, capacity)
 				for _, a := range seq {
 					wasResident := m.Contains(a.id)
 					hitsBefore := m.Stats().Hits

@@ -30,7 +30,7 @@ func TestLRU2PrefersFrequentlyReusedPages(t *testing.T) {
 	// queries) beats a page referenced once, even if the once-referenced
 	// page is more recent.
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewLRUK(2), 2)
+	m := mustEngine(t, s, core.NewLRUK(2), 2)
 	// Page 1: referenced by queries 1 and 3 → two uncorrelated refs.
 	// Page 2: referenced by query 2 only → HIST(2,2) = 0.
 	runOn(t, m, []access{q(1, 1), q(2, 2), q(1, 3)})
@@ -48,7 +48,7 @@ func TestLRUKCorrelatedReferencesCollapse(t *testing.T) {
 	// still has only one uncorrelated reference, so it loses to page 2
 	// referenced by queries 2 and 3.
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewLRUK(2), 2)
+	m := mustEngine(t, s, core.NewLRUK(2), 2)
 	runOn(t, m, []access{
 		q(1, 1), q(1, 1), q(1, 1), q(1, 1), q(1, 1),
 		q(2, 2), q(2, 3),
@@ -67,7 +67,7 @@ func TestLRUKExcludesCurrentQueryPages(t *testing.T) {
 	// page 3 comes from query 5 — the query that last referenced page 2 —
 	// so page 2 is excluded and page 1 must be evicted instead.
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewLRUK(2), 2)
+	m := mustEngine(t, s, core.NewLRUK(2), 2)
 	runOn(t, m, []access{q(2, 5), q(1, 9)})
 	runOn(t, m, []access{q(3, 5)})
 	if m.Contains(1) || !resident(m, 2, 3) {
@@ -80,7 +80,7 @@ func TestLRUKFallbackWhenAllCorrelated(t *testing.T) {
 	// the exclusion rule would deadlock; the implementation must fall
 	// back to evicting something.
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewLRUK(2), 2)
+	m := mustEngine(t, s, core.NewLRUK(2), 2)
 	runOn(t, m, []access{q(1, 7), q(2, 7), q(3, 7)})
 	if m.Len() != 2 {
 		t.Errorf("Len = %d, want 2", m.Len())
@@ -101,7 +101,7 @@ func TestLRUKHistorySurvivesEviction(t *testing.T) {
 	//                            page 2 kept its pre-eviction reference.
 	s := buildStore(t, uniformPages(4, 1))
 	pol := core.NewLRUK(2)
-	m := mustManager(t, s, pol, 2)
+	m := mustEngine(t, s, pol, 2)
 	runOn(t, m, []access{q(1, 1), q(1, 2), q(2, 3), q(3, 4), q(1, 5), q(2, 6), q(4, 7)})
 	if m.Contains(1) || !resident(m, 2, 4) {
 		t.Errorf("resident = %v, want [2 4]", m.ResidentIDs())
@@ -120,7 +120,7 @@ func TestLRUKHistoryGrowsBeyondBufferSize(t *testing.T) {
 	n := 50
 	s := buildStore(t, uniformPages(n, 1))
 	pol := core.NewLRUK(2)
-	m := mustManager(t, s, pol, 4)
+	m := mustEngine(t, s, pol, 4)
 	var seq []access
 	for i := 1; i <= n; i++ {
 		seq = append(seq, q(page.ID(i), uint64(i)))
@@ -137,7 +137,7 @@ func TestLRUKHistoryGrowsBeyondBufferSize(t *testing.T) {
 func TestLRUKResetDropsHistory(t *testing.T) {
 	s := buildStore(t, uniformPages(3, 1))
 	pol := core.NewLRUK(2)
-	m := mustManager(t, s, pol, 2)
+	m := mustEngine(t, s, pol, 2)
 	runOn(t, m, seqOf(1, 2, 3))
 	if err := m.Clear(); err != nil {
 		t.Fatal(err)

@@ -8,10 +8,11 @@ package core_test
 // identical miss and eviction sequences, so any behavioral drift the
 // refactor introduced shows up as a counterexample trace.
 //
-// The reference policies use only the exported buffer API (Frame.Aux /
-// SetAux carry their per-frame state), emit Eviction events through
-// obs.Target like the real ones, and deliberately allocate per
-// operation — they are correctness baselines, not performance ones.
+// The reference policies use only the exported buffer API, emit
+// Eviction events through obs.Target like the real ones, and
+// deliberately allocate per operation — they are correctness baselines,
+// not performance ones. Each keeps its per-frame state in a refSlots
+// table indexed by the frame's arena slot.
 
 import (
 	"container/heap"
@@ -24,11 +25,35 @@ import (
 	"repro/internal/page"
 )
 
+// refSlots is a reference policy's per-frame state, indexed by the
+// frame's arena slot. A lookup costs about what a field of the frame
+// would, so BenchmarkPolicyOpsReference keeps timing the container-era
+// policies rather than a map. The engine recycles arena frames, so each
+// policy drops a frame's entry in OnEvict and clears the table in
+// Reset. Only engine-owned frames (ArenaIndex ≥ 0) may be stored.
+type refSlots[T any] []T
+
+func (s refSlots[T]) at(f *buffer.Frame) T { return s[f.ArenaIndex()] }
+
+func (s *refSlots[T]) put(f *buffer.Frame, v T) {
+	i := int(f.ArenaIndex())
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	(*s)[i] = v
+}
+
+func (s refSlots[T]) drop(f *buffer.Frame) {
+	var zero T
+	s[f.ArenaIndex()] = zero
+}
+
 // ---------------------------------------------------------------- LRU --
 
 type refLRU struct {
 	obs.Target
 	order    *list.List
+	aux      refSlots[*list.Element]
 	lastRank int
 }
 
@@ -37,11 +62,11 @@ func newRefLRU() *refLRU { return &refLRU{order: list.New(), lastRank: -1} }
 func (p *refLRU) Name() string { return "LRU" }
 
 func (p *refLRU) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(p.order.PushFront(f))
+	p.aux.put(f, p.order.PushFront(f))
 }
 
 func (p *refLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	p.order.MoveToFront(f.Aux().(*list.Element))
+	p.order.MoveToFront(p.aux.at(f))
 }
 
 func (p *refLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
@@ -57,14 +82,15 @@ func (p *refLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refLRU) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f.Aux().(*list.Element))
+	p.order.Remove(p.aux.at(f))
 	p.Sink().Eviction(obs.EvictionEvent{Page: f.Meta.ID, Reason: obs.ReasonLRU, LRURank: p.lastRank})
 	p.lastRank = -1
-	f.SetAux(nil)
+	p.aux.drop(f)
 }
 
 func (p *refLRU) Reset() {
 	p.order.Init()
+	clear(p.aux)
 	p.lastRank = -1
 }
 
@@ -73,6 +99,7 @@ func (p *refLRU) Reset() {
 type refFIFO struct {
 	obs.Target
 	order    *list.List
+	aux      refSlots[*list.Element]
 	lastRank int
 }
 
@@ -81,7 +108,7 @@ func newRefFIFO() *refFIFO { return &refFIFO{order: list.New(), lastRank: -1} }
 func (p *refFIFO) Name() string { return "FIFO" }
 
 func (p *refFIFO) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(p.order.PushBack(f))
+	p.aux.put(f, p.order.PushBack(f))
 }
 
 func (p *refFIFO) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {}
@@ -99,14 +126,15 @@ func (p *refFIFO) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refFIFO) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f.Aux().(*list.Element))
+	p.order.Remove(p.aux.at(f))
 	p.Sink().Eviction(obs.EvictionEvent{Page: f.Meta.ID, Reason: obs.ReasonFIFO, LRURank: p.lastRank})
 	p.lastRank = -1
-	f.SetAux(nil)
+	p.aux.drop(f)
 }
 
 func (p *refFIFO) Reset() {
 	p.order.Init()
+	clear(p.aux)
 	p.lastRank = -1
 }
 
@@ -117,6 +145,7 @@ type refPriorityLRU struct {
 	name     string
 	prio     func(page.Meta) int
 	classes  map[int]*list.List
+	aux      refSlots[*refPrioAux]
 	lastRank int
 }
 
@@ -138,11 +167,11 @@ func (p *refPriorityLRU) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessC
 		l = list.New()
 		p.classes[class] = l
 	}
-	f.SetAux(&refPrioAux{class: class, elem: l.PushFront(f)})
+	p.aux.put(f, &refPrioAux{class: class, elem: l.PushFront(f)})
 }
 
 func (p *refPriorityLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refPrioAux)
+	aux := p.aux.at(f)
 	p.classes[aux.class].MoveToFront(aux.elem)
 }
 
@@ -168,18 +197,19 @@ func (p *refPriorityLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refPriorityLRU) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refPrioAux)
+	aux := p.aux.at(f)
 	p.classes[aux.class].Remove(aux.elem)
 	p.Sink().Eviction(obs.EvictionEvent{
 		Page: f.Meta.ID, Reason: obs.ReasonPriority,
 		Criterion: float64(aux.class), LRURank: p.lastRank,
 	})
 	p.lastRank = -1
-	f.SetAux(nil)
+	p.aux.drop(f)
 }
 
 func (p *refPriorityLRU) Reset() {
 	p.classes = make(map[int]*list.List)
+	clear(p.aux)
 	p.lastRank = -1
 }
 
@@ -294,12 +324,12 @@ func newRefSpatial(crit page.Criterion) *refSpatial { return &refSpatial{crit: c
 func (p *refSpatial) Name() string { return p.crit.String() }
 
 func (p *refSpatial) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(&refSpatialAux{crit: p.crit.Value(f.Meta), use: now})
+	p.h.aux.put(f, &refSpatialAux{crit: p.crit.Value(f.Meta), use: now})
 	heap.Push(&p.h, f)
 }
 
 func (p *refSpatial) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refSpatialAux)
+	aux := p.h.aux.at(f)
 	aux.use = now
 	heap.Fix(&p.h, aux.idx)
 }
@@ -322,20 +352,23 @@ func (p *refSpatial) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refSpatial) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refSpatialAux)
+	aux := p.h.aux.at(f)
 	if aux.idx >= 0 {
 		heap.Remove(&p.h, aux.idx)
 	}
 	p.Sink().Eviction(obs.EvictionEvent{
 		Page: f.Meta.ID, Reason: obs.ReasonSpatial, Criterion: aux.crit, LRURank: -1,
 	})
-	f.SetAux(nil)
+	p.h.aux.drop(f)
 }
 
-func (p *refSpatial) Reset() { p.h.frames = nil }
+func (p *refSpatial) Reset() {
+	p.h.frames = nil
+	clear(p.h.aux)
+}
 
 func (p *refSpatial) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refSpatialAux)
+	aux := p.h.aux.at(f)
 	aux.crit = p.crit.Value(f.Meta)
 	aux.use = now
 	heap.Fix(&p.h, aux.idx)
@@ -343,13 +376,14 @@ func (p *refSpatial) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessCont
 
 type refSpatialHeap struct {
 	frames []*buffer.Frame
+	aux    refSlots[*refSpatialAux]
 }
 
 func (h *refSpatialHeap) Len() int { return len(h.frames) }
 
 func (h *refSpatialHeap) Less(i, j int) bool {
-	a := h.frames[i].Aux().(*refSpatialAux)
-	b := h.frames[j].Aux().(*refSpatialAux)
+	a := h.aux.at(h.frames[i])
+	b := h.aux.at(h.frames[j])
 	if a.crit != b.crit {
 		return a.crit < b.crit
 	}
@@ -358,13 +392,13 @@ func (h *refSpatialHeap) Less(i, j int) bool {
 
 func (h *refSpatialHeap) Swap(i, j int) {
 	h.frames[i], h.frames[j] = h.frames[j], h.frames[i]
-	h.frames[i].Aux().(*refSpatialAux).idx = i
-	h.frames[j].Aux().(*refSpatialAux).idx = j
+	h.aux.at(h.frames[i]).idx = i
+	h.aux.at(h.frames[j]).idx = j
 }
 
 func (h *refSpatialHeap) Push(x any) {
 	f := x.(*buffer.Frame)
-	f.Aux().(*refSpatialAux).idx = len(h.frames)
+	h.aux.at(f).idx = len(h.frames)
 	h.frames = append(h.frames, f)
 }
 
@@ -373,7 +407,7 @@ func (h *refSpatialHeap) Pop() any {
 	f := h.frames[n-1]
 	h.frames[n-1] = nil
 	h.frames = h.frames[:n-1]
-	f.Aux().(*refSpatialAux).idx = -1
+	h.aux.at(f).idx = -1
 	return f
 }
 
@@ -384,6 +418,7 @@ type refSLRU struct {
 	crit     page.Criterion
 	candSize int
 	order    *list.List
+	aux      refSlots[*refSLRUAux]
 	lastRank int
 }
 
@@ -399,11 +434,11 @@ func newRefSLRU(crit page.Criterion, candSize int) *refSLRU {
 func (p *refSLRU) Name() string { return "SLRU" }
 
 func (p *refSLRU) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(&refSLRUAux{elem: p.order.PushFront(f), crit: p.crit.Value(f.Meta)})
+	p.aux.put(f, &refSLRUAux{elem: p.order.PushFront(f), crit: p.crit.Value(f.Meta)})
 }
 
 func (p *refSLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	p.order.MoveToFront(f.Aux().(*refSLRUAux).elem)
+	p.order.MoveToFront(p.aux.at(f).elem)
 }
 
 func (p *refSLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
@@ -415,7 +450,7 @@ func (p *refSLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
 		f := e.Value.(*buffer.Frame)
 		seen++
 		if !f.Pinned() {
-			c := f.Aux().(*refSLRUAux).crit
+			c := p.aux.at(f).crit
 			if best == nil || c < bestCrit {
 				best, bestCrit = f, c
 				p.lastRank = seen - 1
@@ -429,22 +464,23 @@ func (p *refSLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refSLRU) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refSLRUAux)
+	aux := p.aux.at(f)
 	p.order.Remove(aux.elem)
 	p.Sink().Eviction(obs.EvictionEvent{
 		Page: f.Meta.ID, Reason: obs.ReasonSLRU, Criterion: aux.crit, LRURank: p.lastRank,
 	})
 	p.lastRank = -1
-	f.SetAux(nil)
+	p.aux.drop(f)
 }
 
 func (p *refSLRU) Reset() {
 	p.order.Init()
+	clear(p.aux)
 	p.lastRank = -1
 }
 
 func (p *refSLRU) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refSLRUAux)
+	aux := p.aux.at(f)
 	aux.crit = p.crit.Value(f.Meta)
 	p.order.MoveToFront(aux.elem)
 }
@@ -460,6 +496,7 @@ type refASB struct {
 	cand     int
 	main     *list.List
 	over     *list.List
+	aux      refSlots[*refASBAux]
 	lastRank int
 }
 
@@ -507,13 +544,13 @@ func (p *refASB) Name() string { return "ASB" }
 
 func (p *refASB) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	aux := &refASBAux{crit: p.crit.Value(f.Meta)}
-	f.SetAux(aux)
+	p.aux.put(f, aux)
 	aux.elem = p.main.PushFront(f)
 	p.rebalance()
 }
 
 func (p *refASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refASBAux)
+	aux := p.aux.at(f)
 	if !aux.inOver {
 		p.main.MoveToFront(aux.elem)
 		return
@@ -532,7 +569,7 @@ func (p *refASB) adapt(f *buffer.Frame, aux *refASBAux) {
 		if q == f {
 			continue
 		}
-		if q.Aux().(*refASBAux).crit > aux.crit {
+		if p.aux.at(q).crit > aux.crit {
 			betterSpatial++
 		}
 		if q.LastUse > f.LastUse {
@@ -557,7 +594,7 @@ func (p *refASB) rebalance() {
 		if v == nil {
 			return
 		}
-		aux := v.Aux().(*refASBAux)
+		aux := p.aux.at(v)
 		p.main.Remove(aux.elem)
 		aux.inOver = true
 		aux.elem = p.over.PushBack(v)
@@ -573,7 +610,7 @@ func (p *refASB) mainVictim() (*buffer.Frame, int) {
 		f := e.Value.(*buffer.Frame)
 		seen++
 		if !f.Pinned() {
-			c := f.Aux().(*refASBAux).crit
+			c := p.aux.at(f).crit
 			if best == nil || c < bestCrit {
 				best, bestCrit, bestRank = f, c, seen-1
 			}
@@ -603,7 +640,7 @@ func (p *refASB) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refASB) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refASBAux)
+	aux := p.aux.at(f)
 	reason := obs.ReasonASBMain
 	if aux.inOver {
 		p.over.Remove(aux.elem)
@@ -615,18 +652,19 @@ func (p *refASB) OnEvict(f *buffer.Frame) {
 		Page: f.Meta.ID, Reason: reason, Criterion: aux.crit, LRURank: p.lastRank,
 	})
 	p.lastRank = -1
-	f.SetAux(nil)
+	p.aux.drop(f)
 }
 
 func (p *refASB) Reset() {
 	p.main.Init()
 	p.over.Init()
+	clear(p.aux)
 	p.cand = p.initCand
 	p.lastRank = -1
 }
 
 func (p *refASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refASBAux)
+	aux := p.aux.at(f)
 	aux.crit = p.crit.Value(f.Meta)
 	if !aux.inOver {
 		p.main.MoveToFront(aux.elem)
@@ -643,6 +681,7 @@ func (p *refASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext)
 type refClock struct {
 	hand *ring.Ring
 	size int
+	aux  refSlots[*refClockAux]
 }
 
 type refClockAux struct {
@@ -657,7 +696,7 @@ func (p *refClock) Name() string { return "CLOCK" }
 func (p *refClock) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	n := ring.New(1)
 	n.Value = f
-	f.SetAux(&refClockAux{node: n})
+	p.aux.put(f, &refClockAux{node: n})
 	if p.hand == nil {
 		p.hand = n
 	} else {
@@ -667,7 +706,7 @@ func (p *refClock) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext
 }
 
 func (p *refClock) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.Aux().(*refClockAux).ref = true
+	p.aux.at(f).ref = true
 }
 
 func (p *refClock) Victim(ctx buffer.AccessContext) *buffer.Frame {
@@ -676,7 +715,7 @@ func (p *refClock) Victim(ctx buffer.AccessContext) *buffer.Frame {
 	}
 	for i := 0; i < 2*p.size; i++ {
 		f := p.hand.Value.(*buffer.Frame)
-		aux := f.Aux().(*refClockAux)
+		aux := p.aux.at(f)
 		if !f.Pinned() && !aux.ref {
 			return f
 		}
@@ -689,7 +728,7 @@ func (p *refClock) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refClock) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refClockAux)
+	aux := p.aux.at(f)
 	if p.size == 1 {
 		p.hand = nil
 	} else {
@@ -699,12 +738,13 @@ func (p *refClock) OnEvict(f *buffer.Frame) {
 		aux.node.Prev().Unlink(1)
 	}
 	p.size--
-	f.SetAux(nil)
+	p.aux.drop(f)
 }
 
 func (p *refClock) Reset() {
 	p.hand = nil
 	p.size = 0
+	clear(p.aux)
 }
 
 // ---------------------------------------------------------------- PIN --

@@ -171,7 +171,7 @@ func TestShardedPoolSingleShardMatchesManager(t *testing.T) {
 			f := f
 			t.Run(f.Name+"/"+spec, func(t *testing.T) {
 				sm := buildStore(t, specs)
-				m := mustManager(t, sm, f.New(capacity), capacity)
+				m := mustEngine(t, sm, f.New(capacity), capacity)
 				sp := buildComposition(t, spec, buildStore(t, specs), f, capacity).(containsPool)
 				defer closePool(t, sp)
 				for i, a := range seq {

@@ -60,7 +60,7 @@ func q(id page.ID, query uint64) access { return access{id: id, query: query} }
 // IDs that missed, in order.
 func run(t *testing.T, s storage.Store, pol buffer.Policy, capacity int, seq []access) []page.ID {
 	t.Helper()
-	m, err := buffer.NewManager(s, pol, capacity)
+	m, err := buffer.NewEngine(s, pol, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func run(t *testing.T, s storage.Store, pol buffer.Policy, capacity int, seq []a
 }
 
 // runOn replays the accesses on an existing manager, returning miss IDs.
-func runOn(t *testing.T, m *buffer.Manager, seq []access) []page.ID {
+func runOn(t *testing.T, m *buffer.Engine, seq []access) []page.ID {
 	t.Helper()
 	var misses []page.ID
 	for _, a := range seq {
@@ -106,7 +106,7 @@ func seqOf(ids ...page.ID) []access {
 }
 
 // resident returns whether every given ID is resident in m.
-func resident(m *buffer.Manager, ids ...page.ID) bool {
+func resident(m *buffer.Engine, ids ...page.ID) bool {
 	for _, id := range ids {
 		if !m.Contains(id) {
 			return false
@@ -115,10 +115,10 @@ func resident(m *buffer.Manager, ids ...page.ID) bool {
 	return true
 }
 
-// mustManager builds a manager or fails the test.
-func mustManager(t *testing.T, s storage.Store, pol buffer.Policy, capacity int) *buffer.Manager {
+// mustEngine builds a bare engine or fails the test.
+func mustEngine(t *testing.T, s storage.Store, pol buffer.Policy, capacity int) *buffer.Engine {
 	t.Helper()
-	m, err := buffer.NewManager(s, pol, capacity)
+	m, err := buffer.NewEngine(s, pol, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}

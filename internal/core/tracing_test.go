@@ -14,7 +14,7 @@ import (
 
 // tracedStack builds a MemStore of n single-entry pages with distinct
 // areas and an ASB-managed buffer with an every-request tracer attached.
-func tracedStack(t *testing.T, n, capacity int) (*buffer.Manager, *tracing.Tracer) {
+func tracedStack(t *testing.T, n, capacity int) (*buffer.Engine, *tracing.Tracer) {
 	t.Helper()
 	s := storage.NewMemStore()
 	for i := 0; i < n; i++ {
@@ -27,17 +27,17 @@ func tracedStack(t *testing.T, n, capacity int) (*buffer.Manager, *tracing.Trace
 			t.Fatal(err)
 		}
 	}
-	m, err := buffer.NewManager(s, core.NewASB(capacity, core.DefaultASBOptions()), capacity)
+	m, err := buffer.NewEngine(s, core.NewASB(capacity, core.DefaultASBOptions()), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracing.NewTracer(1, 1, 256)
-	m.SetTracer(tr, 0)
+	m.SetTracer(tr)
 	return m, tr
 }
 
 // TestASBTracedEndToEnd drives a full miss-and-evict workload through
-// Manager + ASB + MemStore and checks the acceptance shape of the
+// Engine + ASB + MemStore and checks the acceptance shape of the
 // resulting traces: a Get root span with a victim-select child carrying
 // ASB criterion values and a store.Read child carrying byte counts.
 func TestASBTracedEndToEnd(t *testing.T) {
@@ -152,12 +152,12 @@ func TestSLRUAndSpatialVictimSpans(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			m, err := buffer.NewManager(s, tc.policy, 4)
+			m, err := buffer.NewEngine(s, tc.policy, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr := tracing.NewTracer(1, 1, 64)
-			m.SetTracer(tr, 0)
+			m.SetTracer(tr)
 			for id := page.ID(1); id <= 12; id++ {
 				if _, err := m.Get(id, buffer.AccessContext{}); err != nil {
 					t.Fatal(err)

@@ -122,7 +122,7 @@ func FigCrossSAM(opts Options, seed int64) ([]*Table, error) {
 			frames = 2
 		}
 		run := func(pol buffer.Policy) (uint64, error) {
-			m, err := buffer.NewManager(sam.store, pol, frames)
+			m, err := buffer.NewEngine(sam.store, pol, frames)
 			if err != nil {
 				return 0, err
 			}

@@ -353,7 +353,7 @@ func TestBufferedMutationsKeepTreeValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buffer.NewManager(store, f.New(64), 64)
+	m, err := buffer.NewEngine(store, f.New(64), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type Sweep struct {
 // Run records one trace per query set and replays it through every
 // (policy, buffer size) combination. Query sets are resolved by name with
 // calibrated sizes; seed controls query generation. Replays are
-// independent of each other (each gets its own buffer manager and policy
+// independent of each other (each gets its own buffer engine and policy
 // instance over the shared, thread-safe page store), so they run in
 // parallel across the available CPUs.
 func Run(db *Database, setNames []string, factories []core.Factory, fracs []float64, seed int64) (*Sweep, error) {
@@ -102,12 +102,12 @@ func Run(db *Database, setNames []string, factories []core.Factory, fracs []floa
 				}
 				j := jobs[i]
 				var stats buffer.Stats
-				var err error
-				o, tc := currentObserver(), currentTracer()
-				if o != nil || tc != nil {
-					stats, err = trace.ReplayTraced(j.tr, db.Store, j.f.New(j.frames), j.frames, o, tc)
-				} else {
-					stats, err = trace.Replay(j.tr, db.Store, j.f.New(j.frames), j.frames)
+				e, err := buffer.NewEngine(db.Store, j.f.New(j.frames), j.frames)
+				if err == nil {
+					// A nil observer or tracer leaves the engine unobserved.
+					e.SetSink(currentObserver())
+					e.SetTracer(currentTracer())
+					stats, err = trace.ReplayOn(j.tr, e)
 				}
 				mu.Lock()
 				if err != nil && firstErr == nil {
@@ -232,16 +232,14 @@ func RunAdaptation(db *Database, frac float64, seed int64) (*AdaptationTrace, er
 	out.Initial = pol.CandidateSize()
 	out.MainCap = pol.MainCapacity()
 
-	m, err := buffer.NewManager(db.Store, pol, frames)
+	e, err := buffer.NewEngine(db.Store, pol, frames)
 	if err != nil {
 		return nil, err
 	}
-	if tc := currentTracer(); tc != nil {
-		m.SetTracer(tc, 0)
-	}
+	e.SetTracer(currentTracer())
 	// The rest of the run programs against the Pool interface — the
 	// harness measures policies, not a concrete pool flavour.
-	var pool buffer.Pool = m
+	var pool buffer.Pool = e
 	// The candidate-set trajectory is captured from the event stream: the
 	// recorder counts Request events for the reference index and samples
 	// the size at every Adapt event.

@@ -116,7 +116,7 @@ func TestAsyncSinkDropAccountingUnderSaturation(t *testing.T) {
 }
 
 // TestSyncManagerWithAsyncRingSink is the satellite race test: several
-// goroutines drive one SyncManager with the ring sink attached (run
+// goroutines drive one locked engine with the ring sink attached (run
 // under -race in CI). With a ring at least as large as the event volume
 // there must be no drops and the downstream counters must agree exactly
 // with the manager's stats.

@@ -7,7 +7,7 @@
 // The design constraint is that observability must be free when unused:
 // every producer holds a Sink (never nil — NopSink by default) and emits
 // fixed-size event structs by value, so with the no-op sink the
-// Manager.Get hot path stays allocation-free (asserted by
+// Engine.Get hot path stays allocation-free (asserted by
 // TestRequestHitPathZeroAllocs in package buffer).
 //
 // Event types mirror the decisions the paper's evaluation reasons about:
@@ -21,7 +21,7 @@
 //   - Adapt — a change (or re-confirmation) of the ASB candidate-set
 //     size, the series plotted in Fig. 14.
 //
-// Producers attach sinks through SetSink; buffer.Manager forwards its
+// Producers attach sinks through SetSink; buffer.Engine forwards its
 // sink to the policy when the policy implements SinkSetter, so one call
 // instruments the whole stack.
 package obs
@@ -120,8 +120,8 @@ type Sink interface {
 	Adapt(e AdaptEvent)
 }
 
-// SinkSetter is implemented by event producers (policies, managers) that
-// accept a sink. buffer.Manager.SetSink forwards to its policy through
+// SinkSetter is implemented by event producers (policies, engines) that
+// accept a sink. buffer.Engine.SetSink forwards to its policy through
 // this interface.
 type SinkSetter interface {
 	SetSink(Sink)

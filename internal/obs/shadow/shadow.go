@@ -15,11 +15,11 @@
 //     capacities (½×, 1×, 2×, 4×) yields the hit ratio as a function of
 //     buffer size, the capacity-planning curve, without restarts.
 //
-// A shadow cache replicates the Manager's admit/hit/evict protocol
+// A shadow cache replicates the buffer.Engine admit/hit/evict protocol
 // exactly (same logical clock, same callback order, same
 // eviction-before-admission sequencing), driving a real buffer.Policy
 // instance over ghost frames whose Page pointer stays nil. A shadow LRU
-// fed the event stream of a real Manager+LRU therefore matches it
+// fed the event stream of a real Engine+LRU therefore matches it
 // hit-for-hit — the equivalence the tests pin down.
 //
 // Shadows see only read-path Request events: the write path (Put) is
@@ -92,7 +92,7 @@ func NewCache(policyName string, policy buffer.Policy, capacity, window int) *Ca
 }
 
 // Ref replays one page reference and reports whether it hit. The
-// protocol mirrors buffer.Manager exactly: one clock tick per request;
+// protocol mirrors buffer.Engine exactly: one clock tick per request;
 // on a hit, OnHit with the previous LastUse still visible, then the
 // LastUse update; on a miss, an eviction (Victim/OnEvict) when the cache
 // is full, then admission (OnAdmit) at the request's logical time. meta
@@ -115,7 +115,7 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 		admit := true
 		if len(c.frames) >= c.capacity {
 			// Ghost frames are never pinned, so Victim returning nil can
-			// only mean a broken policy; mirror the Manager (which fails
+			// only mean a broken policy; mirror the Engine (which fails
 			// the request with ErrAllPinned) by not admitting.
 			if v := c.policy.Victim(ctx); v != nil {
 				delete(c.frames, v.Meta.ID)

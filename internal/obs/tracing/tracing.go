@@ -366,8 +366,8 @@ func (s *Slot) Active() *Active {
 	return s.a
 }
 
-// SlotSetter is implemented by span producers below the manager
-// (policies) that accept a trace slot; buffer.Manager.SetTracer
+// SlotSetter is implemented by span producers below the engine
+// (policies) that accept a trace slot; buffer.Engine.SetTracer
 // forwards its slot through this interface, mirroring obs.SinkSetter.
 type SlotSetter interface {
 	SetTraceSlot(*Slot)

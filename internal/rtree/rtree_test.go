@@ -513,7 +513,7 @@ func TestQueriesThroughBufferCountIO(t *testing.T) {
 	s.ResetStats()
 
 	pol := &lruStub{}
-	m, err := buffer.NewManager(s, pol, 16)
+	m, err := buffer.NewEngine(s, pol, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestReplayEquivalentToLive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mLive, err := buffer.NewManager(store, tc.mk(), capacity)
+			mLive, err := buffer.NewEngine(store, tc.mk(), capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,12 @@ func TestReplayEquivalentToLive(t *testing.T) {
 			}
 
 			var counters obs.Counters
-			observed, err := ReplayWithSink(trc, store, tc.mk(), capacity, &counters)
+			e, err := buffer.NewEngine(store, tc.mk(), capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetSink(&counters)
+			observed, err := ReplayOn(trc, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +170,7 @@ func TestReplayOnClearsManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buffer.NewManager(store, core.NewLRU(), 32)
+	m, err := buffer.NewEngine(store, core.NewLRU(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +178,7 @@ func TestReplayOnClearsManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replaying again on the same manager must give identical stats
+	// Replaying again on the same engine must give identical stats
 	// (cold start both times).
 	b, err := ReplayOn(trc, m)
 	if err != nil {
